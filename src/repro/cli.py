@@ -626,12 +626,12 @@ def build_bench_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=("interp", "batch", "auto"),
+        choices=("auto", "interp"),
         default="",
         help=(
-            "simulation engine to time (default: the SystemConfig default, "
-            "i.e. the interpreter unless REPRO_ENGINE overrides it; "
-            "'auto' picks batch whenever the cell is inside its envelope)"
+            "simulation engine to time (default: REPRO_ENGINE, else auto; "
+            "'auto' runs batch whenever the cell is inside its envelope, "
+            "'interp' pins the reference interpreter)"
         ),
     )
     parser.add_argument(
@@ -642,7 +642,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
         help=(
             "require every shared cell to beat the (host-scaled) baseline "
             "by at least this factor; exits nonzero otherwise (CI proof "
-            "that --engine batch outruns the interpreter baseline)"
+            "that --engine auto outruns an interpreter baseline)"
         ),
     )
     parser.add_argument(
@@ -835,11 +835,11 @@ def build_check_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=(
-            "Differential correctness check: fuzz the inlined DramDevice "
-            "hot path against the reference oracle (bit-identical "
-            "AccessResults, timelines, and stats), run paired full-system "
-            "simulations, and exercise the runtime invariant layer "
-            "(see repro.verify)"
+            "Differential correctness check: fuzz the batch engine's "
+            "device closures against the plain DramDevice (bit-identical "
+            "results, timelines, and counters), run paired interpreter vs "
+            "batch full-system simulations, and exercise the runtime "
+            "invariant layer (see repro.verify)"
         ),
     )
     parser.add_argument(

@@ -110,12 +110,6 @@ class AlloyCacheDesign(DramCacheDesign):
         self._trainable = isinstance(predictor, MemoryAccessPredictor)
         self._missmap = predictor if isinstance(predictor, MissMap) else None
         self._missmap_latency = config.missmap_latency
-        # Lazily-bound stat handles (lazy to keep ``design_stats`` key sets
-        # identical to the unoptimized lazy-creation behavior).
-        self._scenario_counters: dict = {}
-        self._c_tad_row_hits = None
-        self._c_wasted = None
-        self._c_fills = None
 
     # ------------------------------------------------------------------
     def _set_and_loc(self, line_address: int):
@@ -155,13 +149,7 @@ class AlloyCacheDesign(DramCacheDesign):
 
     def _classify(self, predicted_memory: bool, actual_memory: bool) -> None:
         """Table 5 scenario accounting."""
-        scenario = (predicted_memory, actual_memory)
-        counter = self._scenario_counters.get(scenario)
-        if counter is None:
-            counter = self._scenario_counters[scenario] = self.stats.counter(
-                _SCENARIO_KEYS[scenario]
-            )
-        counter.value += 1
+        self.stats.counter(_SCENARIO_KEYS[(predicted_memory, actual_memory)]).add()
 
     # ------------------------------------------------------------------
     def warm(self, line_address, is_write, pc, core_id):
@@ -199,19 +187,13 @@ class AlloyCacheDesign(DramCacheDesign):
         # The TAD probe always happens (tags live in the TAD).
         tad = self.stacked.access(pred_ready, loc, burst)
         if tad.row_hit:
-            c = self._c_tad_row_hits
-            if c is None:
-                c = self._c_tad_row_hits = self.stats.counter("tad_row_hits")
-            c.value += 1
+            self.stats.counter("tad_row_hits").add()
 
         if hit:
             if predicted_memory:
                 # Wasted parallel memory access: bandwidth cost only.
                 self._memory_read(pred_ready, line_address)
-                c = self._c_wasted
-                if c is None:
-                    c = self._c_wasted = self.stats.counter("wasted_memory_reads")
-                c.value += 1
+                self.stats.counter("wasted_memory_reads").add()
             done = tad.done
             # The TAD stream *is* the data access: no tag serialization.
             breakdown.attribute_device(tad, STAGE_DATA)
@@ -279,7 +261,4 @@ class AlloyCacheDesign(DramCacheDesign):
         if evicted.valid and evicted.dirty:
             self._schedule_memory_write(now, evicted.line_address)
         self.stacked.access(now, loc, burst, is_write=True, background=True)
-        c = self._c_fills
-        if c is None:
-            c = self._c_fills = self.stats.counter("fills")
-        c.value += 1
+        self.stats.counter("fills").add()

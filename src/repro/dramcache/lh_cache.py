@@ -85,11 +85,6 @@ class LHCacheDesign(DramCacheDesign):
         self._update_burst_v = max(line_burst // 4, 1)
         self._requires_update = policy.requires_update_traffic
         self._loc_by_row: dict = {}
-        # Lazily-bound counters (lazy to keep ``design_stats`` key sets
-        # identical to the unoptimized lazy-creation behavior).
-        self._c_reopens = None
-        self._c_updates = None
-        self._c_fills = None
 
     # ------------------------------------------------------------------
     def _row_of(self, line_address: int):
@@ -153,10 +148,7 @@ class LHCacheDesign(DramCacheDesign):
             )
             breakdown.attribute_device(data, STAGE_DATA)
             if not data.row_hit:
-                c = self._c_reopens
-                if c is None:
-                    c = self._c_reopens = self.stats.counter("compound_row_reopens")
-                c.value += 1
+                self.stats.counter("compound_row_reopens").add()
             if self._requires_update:
                 # LRU/DIP state lives in the tag lines: a 16-byte update
                 # write (one bus beat, per Table 4's 256+16 bytes/access)
@@ -164,10 +156,7 @@ class LHCacheDesign(DramCacheDesign):
                 # later demand accesses — the contention that the Table 1
                 # random-replacement de-optimization removes.
                 stacked_access(data.done, loc, self._update_burst_v, is_write=True)
-                c = self._c_updates
-                if c is None:
-                    c = self._c_updates = self.stats.counter("replacement_updates")
-                c.value += 1
+                self.stats.counter("replacement_updates").add()
             self._record_read(hit=True, latency=data.done - now)
             return AccessOutcome(
                 done=data.done,
@@ -225,7 +214,4 @@ class LHCacheDesign(DramCacheDesign):
         stacked_access(
             data_write.done, loc, self._line_burst_v, is_write=True, background=True
         )  # tag-line update
-        c = self._c_fills
-        if c is None:
-            c = self._c_fills = self.stats.counter("fills")
-        c.value += 1
+        self.stats.counter("fills").add()

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.fileio import atomic_write
 from repro.jobs.journal import JOURNAL_NAME, JobJournal
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import SweepCell, default_cache_dir
@@ -237,9 +238,7 @@ def create_job(
             "total_cells": len(cells),
             "cells": [cell_to_dict(cell) for cell in cells],
         }
-        tmp = manifest_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-        os.replace(tmp, manifest_path)
+        atomic_write(manifest_path, json.dumps(payload, sort_keys=True, indent=1))
     else:
         try:
             job.created = json.loads(manifest_path.read_text()).get(

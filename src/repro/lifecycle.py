@@ -66,11 +66,9 @@ class MemoryRequest:
             (after the L3 lookup); per-stage latencies are measured from
             here, so a read's breakdown sums to ``done - issue_cycle``.
 
-    A plain ``__slots__`` class (not a frozen dataclass): the event loop
-    allocates one per simulated access, so construction cost matters, and
-    the mutable fields let :class:`~repro.sim.system.System` reuse a
-    single scratch instance on its hot path. Designs must treat a request
-    as read-only and never retain it past :meth:`handle`.
+    A plain ``__slots__`` class (not a frozen dataclass): the interpreter
+    allocates one per simulated access, so construction cost matters.
+    Designs treat a request as read-only.
     """
 
     __slots__ = ("line_address", "is_write", "pc", "core_id", "issue_cycle")
@@ -139,19 +137,11 @@ class LatencyBreakdown:
     def attribute_device(self, result, stage: str) -> "LatencyBreakdown":
         """Fold one device :class:`~repro.dram.device.AccessResult` in:
         waiting (bank + bus queues) goes to the shared ``queue`` stage,
-        service cycles (ACT + CAS + burst) to ``stage``.
-
-        The :meth:`add` calls are inlined (same zero-skip and accumulate
-        order) — this runs several times per simulated access.
-        """
-        stages = self._stages
-        cycles = result.queue_delay + result.bus_queue_delay
-        if cycles:
-            stages[STAGE_QUEUE] = stages.get(STAGE_QUEUE, 0.0) + cycles
-        cycles = result.act_cycles + result.cas_cycles + result.burst_cycles
-        if cycles:
-            stages[stage] = stages.get(stage, 0.0) + cycles
-        return self
+        service cycles (ACT + CAS + burst) to ``stage``."""
+        self.add(STAGE_QUEUE, result.queue_delay + result.bus_queue_delay)
+        return self.add(
+            stage, result.act_cycles + result.cas_cycles + result.burst_cycles
+        )
 
     # ------------------------------------------------------------------
     def get(self, stage: str) -> float:

@@ -52,6 +52,11 @@ DEFAULT_REPEATS = 3
 DEFAULT_DISCARD = 1
 
 
+#: ``System.engine_used`` each requestable engine must report: an "auto"
+#: cell that fell back to the interpreter would time the wrong engine.
+_EXPECTED_ENGINE = {"auto": "batch", "interp": "interp"}
+
+
 class BenchDeterminismError(AssertionError):
     """Two repeats of one cell produced different simulation results."""
 
@@ -65,10 +70,10 @@ class BenchCell:
     reads_per_core: int = DEFAULT_READS
     warmup_fraction: float = 0.25
     seed: int = 1
-    #: Simulation engine ("" = the SystemConfig default). Deliberately NOT
-    #: part of :attr:`cell_id`: both engines are bit-exact, so a batch run
-    #: compares directly against the committed interpreter baseline — that
-    #: comparison *is* the speedup measurement.
+    #: Simulation engine, "auto" or "interp" ("" = resolved by ``System``).
+    #: Deliberately NOT part of :attr:`cell_id`: both engines are
+    #: bit-exact, so a batch run compares directly against a committed
+    #: interpreter baseline — that comparison *is* the speedup measurement.
     engine: str = ""
     #: MSHRs per core (``mshrs_per_core``). Unlike the engine this changes
     #: simulated behavior, so non-default values suffix the cell id.
@@ -226,7 +231,7 @@ def time_cell(
         result = system.run()
         wall = time.perf_counter() - started
         engine_used = system.engine_used
-        if cell.engine and engine_used != cell.engine:
+        if cell.engine and engine_used != _EXPECTED_ENGINE[cell.engine]:
             raise BenchDeterminismError(
                 f"cell {cell.cell_id}: requested engine {cell.engine!r} "
                 f"but the run used {engine_used!r} — the timing would "

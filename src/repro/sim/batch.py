@@ -10,8 +10,10 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   lengths, and MAP-I predictor table indices.
 * **Compact scalar core**: the serial part (bank/bus timeline reservations,
   replacement state, predictor training) runs in one flat event loop over
-  integer-coded heap tuples, with the per-access device reservation inlined
-  expression-for-expression from :meth:`repro.dram.device.DramDevice.access`.
+  integer-coded heap tuples, with the per-access device reservation
+  (:func:`_device_fns`) written expression for expression like
+  :meth:`repro.dram.device.DramDevice.access` — ``repro check`` diffs the
+  two on randomized streams.
 * **Deferred statistics**: latency samples are appended to plain lists in
   event order and folded into the accumulators/histograms once at the end.
   The fold is a left fold in sample order starting from the accumulator's
@@ -25,7 +27,7 @@ skip accumulator sampling; everything observable is reproduced exactly.
 
 Engine selection lives in :meth:`repro.sim.system.System.run`; this module's
 :func:`run` returns ``None`` when a configuration is outside the supported
-envelope (oracle devices, unknown design or policy types), and the caller
+envelope (verify runs, unknown design or policy types), and the caller
 falls back to the interpreter. The envelope covers every design family —
 including multi-way Alloy, the victim-buffer variant and MLP cores
 (``mshrs_per_core > 1``, handled by a shared per-core in-flight list in
@@ -47,7 +49,6 @@ from repro.core.predictors import (
     PamPredictor,
     SamPredictor,
 )
-from repro.dram.device import DramDevice
 from repro.dramcache.alloy import AlloyCacheDesign, _SCENARIO_KEYS
 from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES, AlloyVictimDesign
 from repro.dramcache.base import ATTRIBUTION_EPSILON, LATENCY_BUCKETS
@@ -57,7 +58,6 @@ from repro.dramcache.no_cache import NoCacheDesign
 from repro.dramcache.sram_tag import SramTagDesign
 from repro.lifecycle import STAGES
 from repro.sim.core_model import Core
-from repro.stats import Histogram
 from repro.units import LINE_SIZE
 
 #: Replacement policies whose lookup-path side effects the kernels inline.
@@ -83,12 +83,6 @@ def run(system) -> Optional["object"]:
     configuration is outside the supported envelope (caller falls back to
     the interpreter). All eligibility checks happen before any mutation."""
     if system.checker is not None:
-        return None
-    # Exact types only: OracleDramDevice (verify layer) overrides the
-    # reservation arithmetic the kernels inline.
-    if type(system.memory) is not DramDevice:
-        return None
-    if type(system.stacked) is not DramDevice:
         return None
     kernel = _select_kernel(system.design)
     if kernel is None:
@@ -220,18 +214,56 @@ def _row_decode(row_np, device):
     return bank_index.tolist(), channel.tolist(), row.tolist()
 
 
+def _device_consts(dev):
+    """Per-access constants of ``dev``, taken from its timings and its
+    block-cap/watermark policy methods (ints, then the float copies the
+    access results carry)."""
+    timings = dev.timings
+    t_act = timings.t_act
+    act_conflict = timings.t_rp + t_act
+    line_burst = timings.line_burst
+    return (
+        t_act,
+        act_conflict,
+        timings.t_cas,
+        float(timings.t_cas),
+        line_burst,
+        dev._block_cap(),
+        dev._watermark(),
+        dev._bus_watermark(),
+        int(line_burst * LINE_SIZE / line_burst),
+        float(t_act),
+        float(act_conflict),
+        float(line_burst),
+    )
+
+
+def _flush_device(dev, n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes):
+    """Add one kernel's device tallies to ``dev.stats`` (zero-guarded, so
+    the counter set matches per-access ``Counter.add`` calls)."""
+    stats = dev.stats
+    _flush(stats, "accesses", n_acc)
+    _flush(stats, "row_hits", n_rh)
+    _flush(stats, "activations", n_act)
+    _flush(stats, "read_accesses", n_rd)
+    _flush(stats, "write_accesses", n_wr)
+    _flush(stats, "background_accesses", n_bg)
+    _flush(stats, "bus_cycles", n_bus)
+    _flush(stats, "bytes_on_bus", n_bytes)
+
+
 def _device_fns(dev):
-    """Build ``(demand, background, flush)`` access closures over one device.
+    """Build ``(demand, background, flush, state)`` access closures over one
+    device.
 
-    Each closure is the reservation arithmetic of
-    :meth:`repro.dram.device.DramDevice.access` inlined expression-for-
-    expression (bit-identical floats) and skipping the accumulator sampling
-    (not observable in :class:`SimResult`). ``demand`` returns
-    ``(done, row_hit, queue_cycles, service_cycles)`` pre-combined the way
-    :meth:`LatencyBreakdown.attribute_device` folds them; ``background``
-    returns ``done`` alone.
+    Each closure is the arithmetic of :meth:`DramDevice.access` written
+    expression for expression (bit-identical floats), skipping the
+    accumulator sampling (not observable in :class:`SimResult`). ``demand``
+    returns ``(done, row_hit, queue_cycles, service_cycles)`` pre-combined
+    the way :meth:`LatencyBreakdown.attribute_device` folds them;
+    ``background`` returns ``done`` alone.
 
-    Bank/bus reservation horizons and the batched integer counters live in
+    Bank/bus reservation horizons and the integer counter tallies live in
     closure-local lists and cells while the kernel runs (index/deref ops
     instead of attribute ops on the hot path); ``flush`` writes them back
     to the device so post-run consumers (stats, energy) see the usual
@@ -250,11 +282,11 @@ def _device_fns(dev):
         t_act_f,
         act_conflict_f,
         line_burst_f,
-    ) = dev._hot
+    ) = _device_consts(dev)
     banks = dev._banks
     buses = dev._buses
     open_rows = dev._open_row
-    open_policy = dev._open_policy
+    open_policy = dev.page_policy == "open"
     bank_df = [b.demand_free for b in banks]
     bank_af = [b.all_free for b in banks]
     bus_df = [b.demand_free for b in buses]
@@ -366,14 +398,7 @@ def _device_fns(dev):
         for i, b in enumerate(buses):
             b.demand_free = bus_df[i]
             b.all_free = bus_af[i]
-        dev._n_accesses += n_acc
-        dev._n_row_hits += n_rh
-        dev._n_activations += n_act
-        dev._n_reads += n_rd
-        dev._n_writes += n_wr
-        dev._n_background += n_bg
-        dev._n_bus_cycles += n_bus
-        dev._n_bytes += n_bytes
+        _flush_device(dev, n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes)
 
     # The timeline lists, shared with the closures: kernels that inline
     # whole access sequences (the LH compound-access paths) operate on
@@ -417,31 +442,20 @@ def _writeback_reads(design, readlat, hitlat, misslat, stage_samples, unat):
     if not readlat:
         return
     stats = design.stats
-    track = design._track_hists
     if hitlat:
         stats.counter("read_hits").value += len(hitlat)
         _fold_acc(stats.accumulator("hit_latency"), hitlat)
-        if track:
-            _add_hist(design.hit_latency_hist, hitlat)
+        _add_hist(design.hit_latency_hist, hitlat)
     if misslat:
         stats.counter("read_misses").value += len(misslat)
         _fold_acc(stats.accumulator("miss_latency"), misslat)
     _fold_acc(stats.accumulator("read_latency"), readlat)
-    if track:
-        _add_hist(design.read_latency_hist, readlat)
-    recorders = []
+    _add_hist(design.read_latency_hist, readlat)
+    stage_stats = design.stage_stats
     for stage, samples in zip(STAGES, stage_samples):
-        acc = design.stage_stats.accumulator(stage)
-        _fold_acc(acc, samples)
-        hist = Histogram(stage, LATENCY_BUCKETS)
-        if track:
-            _add_hist(hist, samples)
-            design._stage_hists[stage] = hist
-        recorders.append((stage, acc, hist))
-    design._stage_recorders = recorders
-    acc = design.stats.accumulator("unattributed_cycles")
-    design._acc_unattributed = acc
-    _fold_acc(acc, unat)
+        _fold_acc(stage_stats.accumulator(stage), samples)
+        _add_hist(stage_stats.histogram(stage, LATENCY_BUCKETS), samples)
+    _fold_acc(stats.accumulator("unattributed_cycles"), unat)
 
 
 def _flush(group, name, count):
@@ -798,9 +812,9 @@ def _run_sram(system, starts):
         s_tactf,
         s_tconff,
         s_lburstf,
-    ) = stacked._hot
+    ) = _device_consts(stacked)
     s_open = stacked._open_row
-    s_openpol = stacked._open_policy
+    s_openpol = stacked.page_policy == "open"
     A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
@@ -1171,14 +1185,7 @@ def _run_sram(system, starts):
     stats = design.stats
     mflush()
     sflush()
-    stacked._n_accesses += k_acc
-    stacked._n_row_hits += k_rh
-    stacked._n_activations += k_act
-    stacked._n_reads += k_rd
-    stacked._n_writes += k_wr
-    stacked._n_background += k_bg
-    stacked._n_bus_cycles += k_bus
-    stacked._n_bytes += k_byt
+    _flush_device(stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt)
     _flush(stats, "write_hits", n_wh)
     _flush(stats, "write_misses", n_wm)
     _flush(stats, "memory_reads", n_mr)
@@ -1223,9 +1230,9 @@ def _run_lh(system, starts):
         s_tactf,
         s_tconff,
         s_lburstf,
-    ) = stacked._hot
+    ) = _device_consts(stacked)
     s_open = stacked._open_row
-    s_openpol = stacked._open_policy
+    s_openpol = stacked.page_policy == "open"
     A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
     tags_cache = design.tags
@@ -1756,14 +1763,7 @@ def _run_lh(system, starts):
     stats = design.stats
     mflush()
     sflush()
-    stacked._n_accesses += k_acc
-    stacked._n_row_hits += k_rh
-    stacked._n_activations += k_act
-    stacked._n_reads += k_rd
-    stacked._n_writes += k_wr
-    stacked._n_background += k_bg
-    stacked._n_bus_cycles += k_bus
-    stacked._n_bytes += k_byt
+    _flush_device(stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt)
     _flush(stats, "compound_row_reopens", n_reopen)
     _flush(stats, "replacement_updates", n_upd)
     _flush(stats, "write_hits", n_wh)

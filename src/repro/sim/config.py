@@ -60,25 +60,19 @@ class SystemConfig:
     #: Row-buffer management for each device: "open" (paper) or "closed".
     offchip_page_policy: str = "open"
     stacked_page_policy: str = "open"
-    #: When False, designs skip latency-histogram sampling on the per-read
-    #: hot path: means/counters are unchanged, but percentile outputs
-    #: (hit/read latency p95, per-stage p95) come back empty. A perf knob
-    #: for sweeps that only consume means.
-    track_percentiles: bool = True
     #: Install the runtime invariant layer (:mod:`repro.verify.invariants`)
     #: on this system: per-access timing-order/decomposition checks plus
     #: end-of-run conservation audits. Also enabled by ``REPRO_VERIFY=1``.
     #: Off by default and genuinely zero-cost when off (nothing is
     #: installed, the hot path gains no branches).
     verify: bool = False
-    #: Simulation engine: "interp" (the reference event interpreter),
-    #: "batch" (:mod:`repro.sim.batch` — vectorized precompute + compact
-    #: scalar core, bit-identical results), "auto" (batch whenever the
-    #: configuration is inside its envelope, interpreter otherwise — what
-    #: the sweep/jobs/explore workers run under), or "" to defer to the
-    #: ``REPRO_ENGINE`` environment variable (default: interp). "batch"
-    #: and "auto" both fall back to the interpreter for configurations
-    #: outside the envelope (verify runs, subclassed designs/devices).
+    #: Simulation engine: "auto" (:mod:`repro.sim.batch` — vectorized
+    #: precompute plus a compact scalar core, bit-identical results —
+    #: whenever the configuration is inside its envelope, the interpreter
+    #: otherwise, e.g. for verify runs and designs without a kernel),
+    #: "interp" (always the plain reference interpreter), or "" to defer to
+    #: the ``REPRO_ENGINE`` environment variable, then "auto".
+    #: ``System.engine_used`` reports which engine produced a result.
     engine: str = ""
 
     @property
@@ -103,8 +97,9 @@ class SystemConfig:
         The inverse of the flattening used by job manifests
         (:mod:`repro.jobs`): nested timing dicts become
         :class:`DramTimings` again and unknown keys are ignored, so
-        manifests written by newer code still load (any semantic drift is
-        caught by the content keys, which cover every field).
+        manifests written by newer code, or by older code with since-removed
+        fields, still load (any semantic drift is caught by the content
+        keys, which cover every field).
         """
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in data.items() if k in known}

@@ -62,10 +62,11 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.fileio import atomic_write
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.workloads.arena import (
@@ -351,9 +352,7 @@ def _write_cache_file(
         "telemetry": telemetry,
         "result": result.to_dict(),
     }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 _shared_caches: Dict[Tuple[str, bool], ResultCache] = {}
@@ -388,12 +387,10 @@ def _execute_cell(
     simulation; workload materialization is reported separately as
     ``trace_build_seconds`` / ``trace_source``.
 
-    Cells with no explicit engine run under ``engine="auto"`` (batch where
-    eligible, interpreter otherwise) unless ``REPRO_ENGINE`` is set — the
-    env var stays authoritative so CI parity legs can pin either engine.
-    The engine that actually produced the result lands in telemetry as
-    ``engine_used``; it never affects the result itself (bit-exact) so
-    cache keys ignore the engine entirely.
+    The engine is resolved by :class:`~repro.sim.system.System` like any
+    other run. The engine that actually produced the result lands in
+    telemetry as ``engine_used``; it never affects the result itself
+    (bit-exact) so cache keys ignore the engine entirely.
     """
     from repro.sim.system import System
 
@@ -404,12 +401,9 @@ def _execute_cell(
         "trace_source": "caller",
         "trace_build_seconds": 0.0,
     }
-    config = cell.config
-    if not config.engine and "REPRO_ENGINE" not in os.environ:
-        config = replace(config, engine="auto")
     started = time.perf_counter()
     system = System(
-        config,
+        cell.config,
         cell.design,
         workload,
         warmup_fraction=cell.warmup_fraction,

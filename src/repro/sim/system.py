@@ -22,7 +22,7 @@ import heapq
 import os
 import sys
 from itertools import count
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 from repro.dram.device import DramDevice
 from repro.dram.energy import system_energy
@@ -41,7 +41,7 @@ _SCENARIO_KEYS = (
     "pred_cache_actual_cache",
 )
 
-_ENGINES = ("interp", "batch", "auto")
+_ENGINES = ("auto", "interp")
 
 #: Invalid REPRO_ENGINE values already warned about (once per process —
 #: sweeps construct thousands of Systems).
@@ -57,7 +57,6 @@ class System:
         design: Union[str, Callable],
         workload: Workload,
         warmup_fraction: float = 0.25,
-        device_cls: Optional[type] = None,
     ) -> None:
         if workload.num_cores != config.num_cores:
             raise ValueError(
@@ -67,15 +66,10 @@ class System:
         self.config = config
         self.workload = workload
         self.warmup_fraction = warmup_fraction
-
-        # ``device_cls`` swaps the DRAM device implementation — used by the
-        # differential fuzzer to run whole systems against the reference
-        # OracleDramDevice (repro.verify) with everything else identical.
-        device_cls = device_cls or DramDevice
-        self.memory = device_cls(
+        self.memory = DramDevice(
             config.offchip, name="memory", page_policy=config.offchip_page_policy
         )
-        self.stacked = device_cls(
+        self.stacked = DramDevice(
             config.stacked, name="stacked", page_policy=config.stacked_page_policy
         )
         self._heap: List = []
@@ -83,14 +77,9 @@ class System:
         self.now = 0.0
         #: Heap entries popped by :meth:`run` (sweep telemetry).
         self.events_processed = 0
-        # Hot-path constants and a reusable scratch request: one
-        # MemoryRequest is mutated per core event instead of allocated,
-        # which is safe because designs never retain a request past
-        # ``handle()`` (documented on MemoryRequest).
         self._mshrs = config.mshrs_per_core
         self._l3_latency = config.l3_latency
         self._write_issue_cycles = config.write_issue_cycles
-        self._request = MemoryRequest(0, False, 0, 0, 0.0)
         if callable(design):
             # Custom builder: builder(config, stacked, memory, schedule).
             self.design: DramCacheDesign = design(
@@ -111,7 +100,8 @@ class System:
         self.engine_used = "interp"
 
     def _resolve_engine(self) -> str:
-        """Pick the simulation engine: explicit config wins, then env.
+        """Pick the simulation engine: explicit config wins, then
+        ``REPRO_ENGINE``, then ``"auto"``.
 
         An invalid explicit ``config.engine`` is a programming error and
         raises; an invalid ``REPRO_ENGINE`` value only warns (environment
@@ -121,8 +111,7 @@ class System:
         if engine:
             if engine not in _ENGINES:
                 raise ValueError(
-                    f"unknown engine {engine!r}: "
-                    "expected 'interp', 'batch' or 'auto'"
+                    f"unknown engine {engine!r}: expected 'auto' or 'interp'"
                 )
             return engine
         env = os.environ.get("REPRO_ENGINE", "")
@@ -131,11 +120,11 @@ class System:
                 _warned_engines.add(env)
                 print(
                     f"repro: ignoring invalid REPRO_ENGINE={env!r} "
-                    "(expected 'interp', 'batch' or 'auto')",
+                    "(expected 'auto' or 'interp')",
                     file=sys.stderr,
                 )
-            return "interp"
-        return env or "interp"
+            return "auto"
+        return env or "auto"
 
     # ------------------------------------------------------------------
     # Scheduler used by designs for background work
@@ -171,10 +160,9 @@ class System:
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
-        if self._resolve_engine() != "interp":
-            # "batch" and "auto" both attempt the batch engine; any
-            # configuration outside its envelope falls through to the
-            # interpreter (batch.run declines before mutating state).
+        if self._resolve_engine() == "auto":
+            # Any configuration outside the batch envelope falls through
+            # to the interpreter (batch.run declines before mutating state).
             from repro.sim import batch
 
             result = batch.run(self)
@@ -232,22 +220,19 @@ class System:
                 return
 
         address, is_write, pc = core.next_record()
-        request = self._request
-        request.line_address = address
-        request.is_write = is_write
-        request.pc = pc
-        request.core_id = core.core_id
         if is_write:
             # Posted writeback: the design handles it off the critical path.
-            request.issue_cycle = now
-            self.design.handle(request)
+            self.design.handle(
+                MemoryRequest(address, True, pc, core.core_id, now)
+            )
             completed = now + self._write_issue_cycles
         else:
             # Demand read: L3 lookup (a miss, by trace construction), then
             # the DRAM-cache design.
             arrival = now + self._l3_latency
-            request.issue_cycle = arrival
-            outcome = self.design.handle(request)
+            outcome = self.design.handle(
+                MemoryRequest(address, False, pc, core.core_id, arrival)
+            )
             done = outcome.done
             completed = done if done >= arrival else arrival
             if mshrs > 1:

@@ -188,10 +188,12 @@ class StatGroup:
         return self.histograms[name]
 
     def reset(self) -> None:
-        for c in self.counters.values():
-            c.reset()
-        for a in self.accumulators.values():
-            a.reset()
+        """Return the group to its fresh state: counters and accumulators
+        are dropped (they reappear on first use, exactly as in a new group,
+        so handles taken before the reset go stale), and registered
+        histograms are zeroed in place."""
+        self.counters.clear()
+        self.accumulators.clear()
         for h in self.histograms.values():
             h.reset()
 

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.fileio import atomic_write
 from repro.workloads.patterns import GENERATOR_VERSION
 from repro.workloads.trace import CoreTrace, Workload
 
@@ -298,9 +299,7 @@ def save_arena(path: Path, workload: Workload, params: WorkloadParams) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     buffer = io.BytesIO()
     np.savez(buffer, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_bytes(buffer.getvalue())
-    os.replace(tmp, path)
+    atomic_write(path, buffer.getvalue())
 
 
 def load_arena(path: Path, params: WorkloadParams) -> Optional[Workload]:

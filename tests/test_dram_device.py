@@ -165,7 +165,7 @@ class TestPriorityTimeline:
 class TestPriorityTimelineBoundaries:
     """Pin the reference ``reserve`` on the exact boundaries the
     differential fuzzer hugs — so the reference itself is locked, not
-    just the inlined mirror."""
+    just the batch engine's mirror of it."""
 
     def test_backlog_exactly_block_cap(self):
         t = PriorityTimeline()
@@ -403,15 +403,13 @@ class TestUtilities:
 class TestResetStaleness:
     """``reset()`` must not resurrect pre-reset activity.
 
-    The device batches its integer counters as plain attributes and only
-    flushes them into the :class:`StatGroup` when ``stats`` is read.
-    A reset that cleared the group but left the pending deltas behind
-    would leak the pre-reset counts into the first post-reset ``stats``
-    read — these tests pin the fix.
+    A reset device must read exactly like a fresh one: no pre-reset count
+    leaks into the first post-reset ``stats`` read, and no counter created
+    before the reset lingers in the group.
     """
 
     def test_pending_counter_deltas_cleared(self, stacked):
-        # Accumulate activity WITHOUT reading .stats (deltas stay batched).
+        # Accumulate activity without reading .stats first.
         for _ in range(4):
             stacked.access(0.0, LOC)
         stacked.reset()

@@ -149,6 +149,7 @@ class TestManager:
     def test_from_dict_ignores_unknown_keys(self):
         data = dataclasses.asdict(tiny_config())
         data["some_future_field"] = 42
+        data["track_percentiles"] = True  # removed field in old manifests
         assert SystemConfig.from_dict(data) == tiny_config()
 
     def test_open_by_name_and_ambiguity(self, tmp_path):

@@ -1,12 +1,12 @@
 """Tests for the batch simulation engine (``repro.sim.batch``).
 
 The engine's entire contract is *bit-exactness*: for every configuration
-inside its envelope, ``SystemConfig(engine="batch")`` must produce a
-:class:`~repro.sim.results.SimResult` field-identical to the interpreter's,
-while configurations outside the envelope must fall back to the interpreter
-(``System.engine_used == "interp"``) rather than approximate. These tests
-pin both halves, plus the engine-selection plumbing (config field,
-``REPRO_ENGINE``) and the bench/sweep integration.
+inside its envelope, ``SystemConfig(engine="auto")`` must run the batch
+engine and produce a :class:`~repro.sim.results.SimResult` field-identical
+to the interpreter's, while configurations outside the envelope must fall
+back to the interpreter (``System.engine_used == "interp"``) rather than
+approximate. These tests pin both halves, plus the engine-selection
+plumbing (config field, ``REPRO_ENGINE``) and the bench/sweep integration.
 """
 
 import dataclasses
@@ -70,7 +70,7 @@ def _pair(design, config, benchmark="mcf_r", reads=250):
         dataclasses.replace(config, engine="interp"), design, workload
     )
     batch = System(
-        dataclasses.replace(config, engine="batch"), design, workload
+        dataclasses.replace(config, engine="auto"), design, workload
     )
     return interp, interp.run(), batch, batch.run()
 
@@ -89,15 +89,6 @@ class TestBitExactness:
         assert interp.engine_used == "interp"
         assert batch.engine_used == "batch"
         assert_identical(got, want)
-
-    @pytest.mark.parametrize("design", ["lh-cache", "sram-tag", "alloy-map-i"])
-    def test_matches_without_percentile_tracking(self, design):
-        _, want, batch, got = _pair(
-            design, _config(track_percentiles=False)
-        )
-        assert batch.engine_used == "batch"
-        assert_identical(got, want)
-        assert got.hit_latency_p95 is None or got.hit_latency_p95 == 0.0
 
     @pytest.mark.parametrize("design", ["lh-cache", "sram-tag", "no-cache"])
     def test_matches_under_closed_page_policies(self, design):
@@ -137,7 +128,7 @@ class TestBitExactness:
 class TestFallback:
     @pytest.mark.parametrize("design", FALLBACK_DESIGNS)
     def test_unkerneled_designs_fall_back(self, design):
-        config = _config(engine="batch")
+        config = _config(engine="auto")
         system = System(config, design, _workload(config))
         system.run()
         assert system.engine_used == "interp"
@@ -148,13 +139,13 @@ class TestFallback:
         from repro.cache.replacement import RandomPolicy
         from repro.sim import batch
 
-        config = _config(engine="batch")
+        config = _config(engine="auto")
         system = System(config, "alloy-2way", _workload(config))
         system.design.cache._store.policy = RandomPolicy()
         assert batch.run(system) is None
 
     def test_verify_runs_fall_back(self):
-        config = _config(engine="batch", verify=True)
+        config = _config(engine="auto", verify=True)
         system = System(config, "alloy-map-i", _workload(config))
         system.run()
         assert system.engine_used == "interp"
@@ -166,7 +157,7 @@ class TestFallback:
             dataclasses.replace(config, engine="interp"), "alloy-2way", workload
         ).run()
         got = System(
-            dataclasses.replace(config, engine="batch"), "alloy-2way", workload
+            dataclasses.replace(config, engine="auto"), "alloy-2way", workload
         ).run()
         assert_identical(got, want)
 
@@ -177,15 +168,28 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             System(config, "no-cache", _workload(config)).run()
 
-    def test_env_selects_batch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
+    def test_explicit_batch_engine_raises(self):
+        # "auto" is the only way to ask for the batch engine.
+        config = _config(engine="batch")
+        with pytest.raises(ValueError, match="unknown engine 'batch'"):
+            System(config, "no-cache", _workload(config)).run()
+
+    def test_bare_system_runs_batch(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
         config = _config()
         system = System(config, "no-cache", _workload(config))
         system.run()
         assert system.engine_used == "batch"
 
+    def test_env_interp_pins_reference(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "interp")
+        config = _config()
+        system = System(config, "alloy-map-i", _workload(config))
+        system.run()
+        assert system.engine_used == "interp"
+
     def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        monkeypatch.setenv("REPRO_ENGINE", "auto")
         config = _config(engine="interp")
         system = System(config, "no-cache", _workload(config))
         system.run()
@@ -210,17 +214,18 @@ class TestEngineSelection:
         system.run()
         assert system.engine_used == "batch"
 
-    def test_invalid_env_warns_and_uses_interp(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("value", ["warp", "batch"])
+    def test_invalid_env_warns_and_runs_auto(self, monkeypatch, capsys, value):
         import repro.sim.system as system_mod
 
         monkeypatch.setattr(system_mod, "_warned_engines", set())
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
+        monkeypatch.setenv("REPRO_ENGINE", value)
         config = _config()
         system = System(config, "no-cache", _workload(config))
         system.run()
-        assert system.engine_used == "interp"
+        assert system.engine_used == "batch"
         err = capsys.readouterr().err
-        assert "ignoring invalid REPRO_ENGINE='warp'" in err
+        assert f"ignoring invalid REPRO_ENGINE={value!r}" in err
 
     def test_invalid_env_warning_dedupes_per_process(
         self, monkeypatch, capsys
@@ -239,9 +244,9 @@ class TestEngineSelection:
     def test_env_parity_with_interpreter(self, monkeypatch):
         config = _config()
         workload = _workload(config)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_ENGINE", "interp")
         want = System(config, "sram-tag", workload).run()
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        monkeypatch.delenv("REPRO_ENGINE")
         system = System(config, "sram-tag", workload)
         got = system.run()
         assert system.engine_used == "batch"
@@ -253,7 +258,7 @@ class TestIntegration:
         from repro.perf.bench import BenchCell
 
         a = BenchCell("lh-cache", "mcf_r")
-        b = BenchCell("lh-cache", "mcf_r", engine="batch")
+        b = BenchCell("lh-cache", "mcf_r", engine="interp")
         assert a.cell_id == b.cell_id
 
     def test_time_cell_reports_engine_used(self):
@@ -261,20 +266,47 @@ class TestIntegration:
 
         timing = time_cell(
             BenchCell(
-                "no-cache", "mcf_r", reads_per_core=60, engine="batch"
+                "no-cache", "mcf_r", reads_per_core=60, engine="auto"
             ),
             repeats=1,
             discard=0,
         )
         assert timing.engine_used == "batch"
         payload_engine = timing.cell.engine
-        assert payload_engine == "batch"
+        assert payload_engine == "auto"
+
+    def test_bench_cli_times_engine_auto(self, capsys):
+        from repro.cli import main as cli_main
+
+        code = cli_main(
+            [
+                "bench", "--engine", "auto", "--designs", "no-cache",
+                "--benchmarks", "mcf", "--reads", "100", "--repeats", "1",
+                "--discard", "0", "--no-write",
+            ]
+        )
+        assert code == 0
+        assert "no-cache/mcf_r/r100" in capsys.readouterr().out
+
+    def test_time_cell_rejects_auto_fallback(self):
+        from repro.perf.bench import BenchCell, BenchDeterminismError, time_cell
+
+        # perfect-l3 has no kernel: an "auto" cell would time the
+        # interpreter while claiming the batch engine.
+        with pytest.raises(BenchDeterminismError, match="wrong engine"):
+            time_cell(
+                BenchCell(
+                    "perfect-l3", "mcf_r", reads_per_core=60, engine="auto"
+                ),
+                repeats=1,
+                discard=0,
+            )
 
     def test_sweep_cache_key_ignores_engine(self):
         from repro.sim.parallel import cell_key
 
         base = _config()
-        batch = dataclasses.replace(base, engine="batch")
+        batch = dataclasses.replace(base, engine="interp")
         args = ("lh-cache", "mcf_r")
         assert cell_key(*args, base, 250, 0.25, 7) == cell_key(
             *args, batch, 250, 0.25, 7
@@ -363,7 +395,7 @@ class TestNoWorkloadMutation:
             "gaps": trace.gaps.copy(),
         }
         system = System(
-            dataclasses.replace(config, engine="batch"), design, workload
+            dataclasses.replace(config, engine="auto"), design, workload
         )
         system.run()
         assert system.engine_used == "batch"

@@ -1,9 +1,9 @@
-"""Tests for the correctness subsystem: oracle, fuzzer, invariant layer.
+"""Tests for the correctness subsystem: fuzzer and invariant layer.
 
-The mirror contract in ``repro.dram.device`` says the inlined hot path must
-stay bit-identical to ``PriorityTimeline.reserve`` + ``Accumulator.sample``.
-These tests pin (a) that the oracle and the production device agree, (b)
-that the fuzzer *detects* a device whose mirror is broken, and (c) that the
+The batch engine's device closures must stay bit-identical to the plain
+``DramDevice`` (``PriorityTimeline.reserve`` + ``Accumulator.sample``).
+These tests pin (a) that the closures and the device agree, (b) that the
+fuzzer *detects* closures whose mirror is broken, and (c) that the
 invariant layer is installed only when asked for and actually rejects
 corrupted results.
 """
@@ -16,14 +16,10 @@ from repro.cli import main as cli_main
 from repro.dram.device import AccessResult, DramDevice
 from repro.dram.mapping import RowLocation
 from repro.dram.timings import OFFCHIP_DDR3, STACKED_DRAM
+from repro.sim import batch
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.verify import (
-    InvariantChecker,
-    InvariantViolation,
-    OracleDramDevice,
-    run_check,
-)
+from repro.verify import InvariantChecker, InvariantViolation, run_check
 from repro.verify.fuzzer import fuzz_device_pair, fuzz_system_pair
 from repro.workloads.spec import build_workload
 
@@ -38,11 +34,13 @@ def _small_workload(num_cores=1, reads=150, seed=3):
 
 
 class TestOracleDevice:
-    """The oracle is a drop-in DramDevice built from reference calls."""
+    """The plain ``DramDevice`` is the oracle: the batch engine's device
+    closures must reproduce its ``access`` exactly."""
 
     def test_scripted_stream_bit_identical(self):
+        ref = DramDevice(STACKED_DRAM)
         dut = DramDevice(STACKED_DRAM)
-        oracle = OracleDramDevice(STACKED_DRAM)
+        demand, background, flush, _ = batch._device_fns(dut)
         script = [
             (0.0, LOC, None, False, False),
             (0.0, LOC, None, False, True),
@@ -52,24 +50,50 @@ class TestOracleDevice:
             (500.0, LOC, None, True, False),
         ]
         for now, loc, burst, w, b in script:
-            got = dut.access(now, loc, burst, is_write=w, background=b)
-            want = oracle.access(now, loc, burst, is_write=w, background=b)
-            assert got == want
-        assert dut.stats.as_dict() == oracle.stats.as_dict()
-
-    def test_access_line_dispatches_through_oracle_access(self):
-        dut = DramDevice(OFFCHIP_DDR3)
-        oracle = OracleDramDevice(OFFCHIP_DDR3)
-        for line in (0, 1, 4096, 1):
-            assert dut.access_line(0.0, line) == oracle.access_line(0.0, line)
+            want = ref.access(now, loc, burst, is_write=w, background=b)
+            args = (
+                now,
+                ref._bank_index(loc),
+                loc.channel,
+                loc.row,
+                burst or STACKED_DRAM.line_burst,
+                w,
+            )
+            if b:
+                assert background(*args) == want.done
+            else:
+                assert demand(*args) == (
+                    want.done,
+                    want.row_hit,
+                    want.queue_delay + want.bus_queue_delay,
+                    want.act_cycles + want.cas_cycles + want.burst_cycles,
+                )
+        flush()
+        for a, r in zip(dut._banks + dut._buses, ref._banks + ref._buses):
+            assert (a.demand_free, a.all_free) == (r.demand_free, r.all_free)
+        assert dut._open_row == ref._open_row
+        counts = {k: c.value for k, c in ref.stats.counters.items()}
+        assert {k: c.value for k, c in dut.stats.counters.items()} == counts
 
     def test_oracle_watermarks_match_production_policy(self):
-        dut = DramDevice(STACKED_DRAM)
-        oracle = OracleDramDevice(STACKED_DRAM)
-        assert oracle._watermark() == dut._watermark()
-        assert oracle._bus_watermark() == dut._bus_watermark()
-        assert oracle._block_cap() == dut._block_cap()
-        assert oracle._bus_block_cap() == dut._bus_block_cap()
+        dev = DramDevice(OFFCHIP_DDR3)
+        consts = batch._device_consts(dev)
+        assert consts[5] == dev._block_cap()
+        assert consts[6] == dev._watermark()
+        assert consts[7] == dev._bus_watermark()
+        assert consts[4] == dev._bus_block_cap()
+
+
+def _break_consts(monkeypatch, mutate):
+    """Make the batch closures read constants edited by ``mutate``."""
+    original = batch._device_consts
+
+    def broken(dev):
+        consts = list(original(dev))
+        mutate(consts)
+        return tuple(consts)
+
+    monkeypatch.setattr(batch, "_device_consts", broken)
 
 
 class TestDeviceFuzzer:
@@ -88,49 +112,27 @@ class TestDeviceFuzzer:
         b = fuzz_device_pair(STACKED_DRAM, "open", 7, accesses=100)
         assert a == b
 
-    def test_detects_broken_bus_watermark_mirror(self):
-        """The fuzzer must flag the exact bug this PR adjudicated: a bus
-        drain threshold sized in bank-service units."""
+    def test_detects_broken_bus_watermark_mirror(self, monkeypatch):
+        """The fuzzer must flag a bus drain threshold sized in
+        bank-service units (a bug the differential once adjudicated)."""
 
-        class OldBugDevice(DramDevice):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                hot = list(self._hot)
-                hot[7] = self._watermark_value  # bus watermark slot
-                self._hot = tuple(hot)
+        def bank_sized_bus_watermark(consts):
+            consts[7] = consts[6]
 
+        _break_consts(monkeypatch, bank_sized_bus_watermark)
         found = sum(
-            len(
-                fuzz_device_pair(
-                    STACKED_DRAM,
-                    "open",
-                    seed,
-                    accesses=400,
-                    dut_factory=OldBugDevice,
-                )
-            )
+            len(fuzz_device_pair(STACKED_DRAM, "open", seed, accesses=400))
             for seed in range(5)
         )
         assert found > 0
 
-    def test_detects_broken_timing_mirror(self):
-        class SkewedDevice(DramDevice):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                hot = list(self._hot)
-                hot[5] = hot[5] + 1  # bank block_cap off by one
-                self._hot = tuple(hot)
+    def test_detects_broken_timing_mirror(self, monkeypatch):
+        def skewed_block_cap(consts):
+            consts[5] += 1  # bank block_cap off by one
 
+        _break_consts(monkeypatch, skewed_block_cap)
         found = sum(
-            len(
-                fuzz_device_pair(
-                    STACKED_DRAM,
-                    "open",
-                    seed,
-                    accesses=400,
-                    dut_factory=SkewedDevice,
-                )
-            )
+            len(fuzz_device_pair(STACKED_DRAM, "open", seed, accesses=400))
             for seed in range(5)
         )
         assert found > 0
@@ -291,7 +293,7 @@ class TestCheckCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "OK: zero inlined-vs-oracle divergences" in out
+        assert "OK: zero batch-vs-reference divergences" in out
 
     def test_check_rejects_bad_seeds(self, capsys):
         assert cli_main(["check", "--seeds", "0"]) == 2
