@@ -77,6 +77,7 @@ def cell_result_to_dict(cell_result: CellResult) -> Dict:
         "trace_build_seconds": cell_result.trace_build_seconds,
         "trace_source": cell_result.trace_source,
         "engine_used": cell_result.engine_used,
+        "cached_wall_seconds": cell_result.cached_wall_seconds,
     }
 
 
@@ -91,6 +92,7 @@ def cell_result_from_dict(data: Dict) -> CellResult:
         trace_build_seconds=float(data.get("trace_build_seconds", 0.0)),
         trace_source=str(data.get("trace_source", "")),
         engine_used=str(data.get("engine_used", "")),
+        cached_wall_seconds=float(data.get("cached_wall_seconds", 0.0)),
     )
 
 

@@ -14,10 +14,17 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   (:func:`_device_fns`) written expression for expression like
   :meth:`repro.dram.device.DramDevice.access` — ``repro check`` diffs the
   two on randomized streams.
-* **Deferred statistics**: latency samples are appended to plain lists in
-  event order and folded into the accumulators/histograms once at the end.
-  The fold is a left fold in sample order starting from the accumulator's
-  current total, so float sums match the interpreter bit-for-bit.
+* **Deferred statistics**: latency samples are appended to typed
+  ``array('d')`` buffers in event order and folded into the
+  accumulators/histograms once at the end, over zero-copy numpy views.
+  ``np.add.accumulate`` is a strict left fold in sample order, so float
+  sums match the interpreter's per-sample ``total += v`` bit-for-bit.
+* **Array warmup**: for the direct-mapped designs (IDEAL-LO and the
+  1-way, non-victim Alloy) the post-warmup tags, dirty bits and store
+  counters are computed with numpy instead of a per-record ``design.warm``
+  replay (:func:`_warm_arrays`), and MAP-I/MAP-G train in one flat loop.
+* **Lean cores**: no per-record :class:`~repro.sim.core_model.Core`
+  cursors; a run keeps one :class:`CoreOutcome` per core.
 
 Bit-exactness is defined over the :class:`SimResult` surface (what
 ``repro golden`` hashes and the differential fuzzer compares). Device
@@ -36,29 +43,64 @@ each kernel's core-event prologue).
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
-from typing import List, Optional
+from itertools import repeat
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.missmap import LINES_PER_SEGMENT as _MM_LINES_PER_SEGMENT
+from repro.cache.missmap import MissMap
 from repro.cache.replacement import DIPPolicy, LRUPolicy, RandomPolicy
 from repro.core.predictors import (
+    MAC_MAX,
     MapGPredictor,
     MapIPredictor,
     PamPredictor,
+    PerfectPredictor,
     SamPredictor,
 )
 from repro.dramcache.alloy import AlloyCacheDesign, _SCENARIO_KEYS
 from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES, AlloyVictimDesign
-from repro.dramcache.base import ATTRIBUTION_EPSILON, LATENCY_BUCKETS
+from repro.dramcache.base import (
+    ATTRIBUTION_EPSILON,
+    LATENCY_BUCKETS,
+    DramCacheDesign,
+)
 from repro.dramcache.ideal_lo import IdealLODesign
 from repro.dramcache.lh_cache import LHCacheDesign, TAG_CHECK_CYCLES
 from repro.dramcache.no_cache import NoCacheDesign
 from repro.dramcache.sram_tag import SramTagDesign
 from repro.lifecycle import STAGES
-from repro.sim.core_model import Core
 from repro.units import LINE_SIZE
+
+#: Every factory design the engine has a kernel for (all but the L3-filter
+#: design ``perfect-l3``). ``repro check`` rotates its system seeds through
+#: this tuple in order, so its first six entries span the kernel families.
+BATCH_DESIGNS = (
+    "alloy-map-i",
+    "lh-cache",
+    "sram-tag",
+    "ideal-lo",
+    "alloy-2way",
+    "alloy-victim16",
+    "no-cache",
+    "sram-tag-1way",
+    "lh-cache-rand",
+    "lh-cache-1way",
+    "ideal-lo-notag",
+    "alloy-nopred",
+    "alloy-missmap",
+    "alloy-sam",
+    "alloy-pam",
+    "alloy-map-g",
+    "alloy-perfect",
+    "alloy-burst8",
+    "alloy-4way",
+    "alloy-victim64",
+)
 
 #: Replacement policies whose lookup-path side effects the kernels inline.
 _POLICIES = (DIPPolicy, LRUPolicy, RandomPolicy)
@@ -88,11 +130,7 @@ def run(system) -> Optional["object"]:
     if kernel is None:
         return None
 
-    starts = system._warm()
-    system._cores = [
-        Core(core_id, trace, start_index=starts[core_id])
-        for core_id, trace in enumerate(system.workload.cores)
-    ]
+    starts = system._warm(_warm_arrays)
     kernel(system, starts)
     system.engine_used = "batch"
     return system._collect()
@@ -407,27 +445,35 @@ def _device_fns(dev):
     return demand, background, flush, state
 
 
-def _fold_acc(acc, samples):
-    """Fold ``samples`` (non-empty, event order) into an accumulator with
-    the same op sequence as per-sample ``total += v`` calls."""
-    total = acc.total
-    for v in samples:
-        total += v
-    acc.total = total
-    acc.count += len(samples)
-    lo = min(samples)
-    hi = max(samples)
+def _fold_acc(acc, values):
+    """Fold ``values`` (a non-empty float64 array of samples in event
+    order) into an accumulator, matching per-sample
+    :meth:`~repro.stats.Accumulator.sample` calls bit for bit.
+
+    ``np.add.accumulate`` adds strictly left to right, so its last element
+    is the ``total += v`` sequence; ``np.sum`` (pairwise) and
+    ``math.fsum`` (exact) round differently. A fresh accumulator's ``0.0``
+    seed drops out (``0.0 + v == v``; the trailing ``+ 0.0`` turns an
+    all-``-0.0`` sum into the interpreter's ``0.0``); any other running
+    total is prepended so the fold starts from it.
+    """
+    lo = float(values.min())
+    hi = float(values.max())
+    acc.count += len(values)
+    if acc.total:
+        values = np.concatenate(((acc.total,), values))
+    acc.total = float(np.add.accumulate(values)[-1]) + 0.0
     if acc.min is None or lo < acc.min:
         acc.min = lo
     if acc.max is None or hi > acc.max:
         acc.max = hi
 
 
-def _add_hist(hist, samples):
-    """Bulk-sample into a histogram: searchsorted(side='left') matches the
-    per-sample ``bisect_left`` bucket choice exactly."""
+def _add_hist(hist, values):
+    """Bulk-sample a float64 array into a histogram: searchsorted
+    (side='left') matches the per-sample ``bisect_left`` bucket choice."""
     edges = np.asarray(hist.edges, dtype=np.float64)
-    idx = np.searchsorted(edges, np.asarray(samples, dtype=np.float64), side="left")
+    idx = np.searchsorted(edges, values, side="left")
     binned = np.bincount(idx, minlength=len(hist.edges) + 1).tolist()
     counts = hist.counts
     for i, n in enumerate(binned):
@@ -438,24 +484,36 @@ def _add_hist(hist, samples):
 def _writeback_reads(design, readlat, hitlat, misslat, stage_samples, unat):
     """Flush the deferred demand-read statistics into the design's stat
     groups, reproducing the interpreter's lazy-creation key sets (nothing
-    is created when no demand read occurred)."""
-    if not readlat:
+    is created when no demand read occurred).
+
+    Every sample buffer is a kernel's ``array('d')`` (or a numpy column of
+    a constant stage, e.g. ``np.zeros``); each is folded through one
+    zero-copy float64 view (:func:`_fold_acc`, :func:`_add_hist`).
+    """
+    if not len(readlat):
         return
     stats = design.stats
-    if hitlat:
-        stats.counter("read_hits").value += len(hitlat)
-        _fold_acc(stats.accumulator("hit_latency"), hitlat)
-        _add_hist(design.hit_latency_hist, hitlat)
-    if misslat:
-        stats.counter("read_misses").value += len(misslat)
-        _fold_acc(stats.accumulator("miss_latency"), misslat)
-    _fold_acc(stats.accumulator("read_latency"), readlat)
-    _add_hist(design.read_latency_hist, readlat)
+    reads = np.frombuffer(readlat, dtype=np.float64)
+    if len(hitlat):
+        hits = np.frombuffer(hitlat, dtype=np.float64)
+        stats.counter("read_hits").value += len(hits)
+        _fold_acc(stats.accumulator("hit_latency"), hits)
+        _add_hist(design.hit_latency_hist, hits)
+    if len(misslat):
+        misses = np.frombuffer(misslat, dtype=np.float64)
+        stats.counter("read_misses").value += len(misses)
+        _fold_acc(stats.accumulator("miss_latency"), misses)
+    _fold_acc(stats.accumulator("read_latency"), reads)
+    _add_hist(design.read_latency_hist, reads)
     stage_stats = design.stage_stats
     for stage, samples in zip(STAGES, stage_samples):
-        _fold_acc(stage_stats.accumulator(stage), samples)
-        _add_hist(stage_stats.histogram(stage, LATENCY_BUCKETS), samples)
-    _fold_acc(stats.accumulator("unattributed_cycles"), unat)
+        values = np.frombuffer(samples, dtype=np.float64)
+        _fold_acc(stage_stats.accumulator(stage), values)
+        _add_hist(stage_stats.histogram(stage, LATENCY_BUCKETS), values)
+    _fold_acc(
+        stats.accumulator("unattributed_cycles"),
+        np.frombuffer(unat, dtype=np.float64),
+    )
 
 
 def _flush(group, name, count):
@@ -464,13 +522,188 @@ def _flush(group, name, count):
         group.counter(name).value += count
 
 
+class CoreOutcome(NamedTuple):
+    """What a batch run keeps of one core: the kernels walk flat arrays
+    rather than per-core trace cursors, so a finished core is its outcome
+    (:meth:`System._collect` reads ``finish_time``)."""
+
+    finish_time: float
+    last_read_done: float
+    reads_issued: int
+    writes_issued: int
+
+
 def _finish_cores(system, finish, last_read, n_reads, n_writes):
-    for i, core in enumerate(system._cores):
-        core.finish_time = finish[i]
-        core.last_read_done = last_read[i]
-        core.reads_issued = n_reads[i]
-        core.writes_issued = n_writes[i]
-        core._index = core._length
+    system._cores = [
+        CoreOutcome(*outcome)
+        for outcome in zip(finish, last_read, n_reads, n_writes)
+    ]
+
+
+# ----------------------------------------------------------------------
+# Array warmup
+# ----------------------------------------------------------------------
+#: Alloy predictor types whose warmup training the array path reproduces
+#: (``None`` is the no-predictor Alloy; SAM/PAM/perfect never train).
+_WARM_PREDICTORS = (
+    type(None),
+    MissMap,
+    MapIPredictor,
+    MapGPredictor,
+    SamPredictor,
+    PamPredictor,
+    PerfectPredictor,
+)
+
+
+def _warm_arrays(system, starts) -> bool:
+    """:meth:`System._warm`'s hook on the batch path: bring
+    ``system.design`` to its post-warmup state without the per-record
+    ``design.warm`` replay. Returns False, having touched nothing, for the
+    designs that keep that replay: the set-associative ones (SRAM-tag,
+    LH-Cache, multi-way Alloy) and the victim-buffer Alloy.
+
+    Replay order is core 0's warmup slice, then core 1's, and so on.
+    IDEAL-LO and the 1-way Alloy warm a direct-mapped store
+    (:func:`_warm_direct_mapped`); the Alloy then trains MAP-I or MAP-G on
+    the warmup reads in one flat loop. Designs whose ``warm`` is the base
+    no-op have nothing to replay.
+    """
+    design = system.design
+    kind = type(design)
+    if kind.warm is DramCacheDesign.warm:
+        return True
+    if kind is IdealLODesign:
+        store, predictor = design.cache, None
+    elif kind is AlloyCacheDesign and design.cache.ways == 1:
+        store, predictor = design.cache._store, design.predictor
+        if type(predictor) not in _WARM_PREDICTORS:
+            return False
+    else:
+        return False
+    if type(store) is not DirectMappedCache:
+        return False
+    if not sum(starts):
+        return True
+    slices = list(zip(system.workload.cores, starts))
+    addr = np.concatenate([t.addresses[:k] for t, k in slices])
+    write = np.concatenate([t.is_write[:k] for t, k in slices])
+    write = write.astype(bool, copy=False)
+    ptype = type(predictor)
+    hit = _warm_direct_mapped(
+        store,
+        addr.astype(np.int64, copy=False),
+        write,
+        predictor if ptype is MissMap else None,
+    )
+    if ptype is not MapIPredictor and ptype is not MapGPredictor:
+        return True
+    reads = ~write
+    miss = (~hit[reads]).tolist()
+    core = np.repeat(np.arange(len(starts)), starts)[reads].tolist()
+    if ptype is MapIPredictor:
+        pcs = np.concatenate([t.pcs[:k] for t, k in slices])[reads]
+        rows = map(predictor._mact.__getitem__, core)
+        slots = _mact_indices(pcs, predictor._index_bits)
+    else:  # MAP-G: one counter per core
+        rows = repeat(predictor._mac)
+        slots = core
+    # MemoryAccessPredictor.update, read by read: saturating 3-bit MACs.
+    for row, i, went in zip(rows, slots, miss):
+        mac = row[i]
+        if went:
+            row[i] = mac + 1 if mac < MAC_MAX else MAC_MAX
+        else:
+            row[i] = mac - 1 if mac > 0 else 0
+    return True
+
+
+def _warm_direct_mapped(store, addr, write, missmap=None):
+    """Apply a warmup replay to a :class:`DirectMappedCache` — for each
+    record in order, ``lookup`` and then ``fill`` on a read miss — and
+    return each record's hit flag, in replay order.
+
+    A record hits iff the last earlier *read* to its set had its address
+    (writes never fill); with no such read, the set's tag before warmup
+    decides. Sorting the records stably by set makes each set's records
+    one segment in replay order, so running maxima over positions find
+    each record's last earlier read and its last earlier dirty-bit event
+    (a write hit sets the bit, a fill clears it; a dirty bit read at a
+    fill is a dirty eviction). The store's tags, dirty bits and counters
+    end as the replay leaves them, counters created in the order the
+    replay first touches them. A MissMap (which mirrors the tag array)
+    swaps each changed set's old tag for its new one.
+    """
+    n = len(addr)
+    sets = addr % store.num_sets
+    order = np.argsort(sets, kind="stable")
+    s = sets[order]
+    a = addr[order]
+    w = write[order]
+    pos = np.arange(n)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(s[1:], s[:-1], out=head[1:])
+    first = np.flatnonzero(head)  # segment starts
+    seg = np.cumsum(head) - 1  # segment id per record
+    seg_start = first[seg]
+    touched = s[first].tolist()
+    tags, dirty_bits = store._tags, store._dirty
+    tag0 = np.array([tags[i] for i in touched], dtype=np.int64)
+    dirty0 = np.array([dirty_bits[i] for i in touched], dtype=bool)
+
+    def latest(mask):
+        """(last ``mask`` position strictly before each record in its
+        segment or -1, last ``mask`` position up to each record)."""
+        upto = np.maximum.accumulate(np.where(mask, pos, -1))
+        before = np.empty(n, dtype=np.int64)
+        before[0] = -1
+        before[1:] = upto[:-1]
+        return np.where(before >= seg_start, before, -1), upto
+
+    prev_read, read_upto = latest(~w)
+    tag = np.where(prev_read >= 0, a[prev_read], tag0[seg])
+    hit = tag == a
+    fill = ~w & ~hit
+    write_hit = w & hit
+    prev_event, event_upto = latest(write_hit | fill)
+    dirty = np.where(prev_event >= 0, write_hit[prev_event], dirty0[seg])
+    evict = fill & (tag != -1)
+
+    end = np.append(first[1:], n) - 1  # segment ends
+    last_read = read_upto[end]
+    last_event = event_upto[end]
+    final_tag = np.where(last_read >= first, a[last_read], tag0)
+    final_dirty = np.where(last_event >= first, write_hit[last_event], dirty0)
+    for i, t, d in zip(touched, final_tag.tolist(), final_dirty.tolist()):
+        tags[i] = t
+        dirty_bits[i] = d
+    if missmap is not None:
+        changed = final_tag != tag0
+        for old, new in zip(tag0[changed].tolist(), final_tag[changed].tolist()):
+            missmap.insert(new)
+            if old != -1:
+                missmap.remove(old)
+
+    tallies = []
+    for rank, (name, mask) in enumerate(
+        (
+            ("hits", hit),
+            ("misses", ~hit),
+            ("fills", fill),
+            ("evictions", evict),
+            ("dirty_evictions", evict & dirty),
+        )
+    ):
+        count = int(np.count_nonzero(mask))
+        if count:
+            tallies.append((int(order[mask].min()), rank, name, count))
+    for _, _, name, count in sorted(tallies):
+        store.stats.counter(name).value += count
+
+    in_order = np.empty(n, dtype=bool)
+    in_order[order] = hit
+    return in_order
 
 
 # ----------------------------------------------------------------------
@@ -498,10 +731,10 @@ def _run_no_cache(system, starts):
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
     # Every read misses: misslat is readlat, and the predictor/tag/DRAM$
-    # stages are identically zero (lists synthesized after the loop).
-    readlat = []
-    stq, stm = [], []
-    unat = []
+    # stages are identically zero (np.zeros columns after the loop).
+    readlat = array("d")
+    stq, stm = array("d"), array("d")
+    unat = array("d")
     ra = readlat.append
     qa, mma = stq.append, stm.append
     ua = unat.append
@@ -587,9 +820,9 @@ def _run_no_cache(system, starts):
     _flush(stats, "write_misses", n_wm)
     _flush(stats, "memory_reads", n_mr)
     _flush(stats, "memory_writes", n_mw)
-    zeros = [0.0] * len(readlat)
+    zeros = np.zeros(len(readlat))
     _writeback_reads(
-        design, readlat, [], readlat, (stq, zeros, zeros, zeros, stm), unat
+        design, readlat, (), readlat, (stq, zeros, zeros, zeros, stm), unat
     )
     _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
@@ -629,11 +862,11 @@ def _run_ideal_lo(system, starts):
     outst = [[] for _ in range(num_cores)] if mlp else None
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = [], [], []
-    # Predictor/tag stages are identically zero for this design: the lists
-    # are synthesized after the loop instead of appended per read.
-    stq, std, stm = [], [], []
-    unat = []
+    readlat, hitlat, misslat = array("d"), array("d"), array("d")
+    # Predictor/tag stages are identically zero for this design: they are
+    # np.zeros columns after the loop instead of appended per read.
+    stq, std, stm = array("d"), array("d"), array("d")
+    unat = array("d")
     ra, ha, ma = readlat.append, hitlat.append, misslat.append
     qa, da, mma = stq.append, std.append, stm.append
     ua = unat.append
@@ -780,7 +1013,7 @@ def _run_ideal_lo(system, starts):
     _flush(store.stats, "fills", dm_f)
     _flush(store.stats, "evictions", n_evict)
     _flush(store.stats, "dirty_evictions", n_devict)
-    zeros = [0.0] * len(readlat)
+    zeros = np.zeros(len(readlat))
     _writeback_reads(
         design, readlat, hitlat, misslat, (stq, zeros, zeros, std, stm), unat
     )
@@ -861,11 +1094,11 @@ def _run_sram(system, starts):
     outst = [[] for _ in range(num_cores)] if mlp else None
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = [], [], []
-    # stage lists: predictor is identically 0.0 and tag identically tslf
-    # for every read — both synthesized after the loop.
-    stq, std, stm = [], [], []
-    unat = []
+    readlat, hitlat, misslat = array("d"), array("d"), array("d")
+    # stage buffers: predictor is identically 0.0 and tag identically tslf
+    # for every read — both np.zeros/np.full columns after the loop.
+    stq, std, stm = array("d"), array("d"), array("d")
+    unat = array("d")
     ra, ha, ma = readlat.append, hitlat.append, misslat.append
     qa, da, mma = stq.append, std.append, stm.append
     ua = unat.append
@@ -1200,7 +1433,7 @@ def _run_sram(system, starts):
     n = len(readlat)
     _writeback_reads(
         design, readlat, hitlat, misslat,
-        (stq, [0.0] * n, [tslf] * n, std, stm), unat
+        (stq, np.zeros(n), np.full(n, tslf), std, stm), unat
     )
     _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
@@ -1303,11 +1536,13 @@ def _run_lh(system, starts):
     outst = [[] for _ in range(num_cores)] if mlp else None
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = [], [], []
+    readlat, hitlat, misslat = array("d"), array("d"), array("d")
     # The predictor stage is identically the MissMap latency for every
-    # read — synthesized after the loop instead of appended per read.
-    stq, stt, std, stm = [], [], [], []
-    unat = []
+    # read — an np.full column after the loop instead of appended per read.
+    stq, stt, std, stm = (
+        array("d"), array("d"), array("d"), array("d")
+    )
+    unat = array("d")
     ra, ha, ma = readlat.append, hitlat.append, misslat.append
     qa, ta, da, mma = stq.append, stt.append, std.append, stm.append
     ua = unat.append
@@ -1782,7 +2017,7 @@ def _run_lh(system, starts):
     _flush(missmap.stats, "predicted_misses", n_mmm)
     _writeback_reads(
         design, readlat, hitlat, misslat,
-        (stq, [mmlf] * len(readlat), stt, std, stm), unat
+        (stq, np.full(len(readlat), mmlf), stt, std, stm), unat
     )
     _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
@@ -1868,9 +2103,11 @@ def _run_alloy(system, starts):
     outst = [[] for _ in range(num_cores)] if mlp else None
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = [], [], []
-    stq, stp, stt, std, stm = [], [], [], [], []
-    unat = []
+    readlat, hitlat, misslat = array("d"), array("d"), array("d")
+    stq, stp, stt, std, stm = (
+        array("d"), array("d"), array("d"), array("d"), array("d")
+    )
+    unat = array("d")
     ra, ha, ma = readlat.append, hitlat.append, misslat.append
     qa, pa, ta, da, mma = stq.append, stp.append, stt.append, std.append, stm.append
     ua = unat.append

@@ -24,7 +24,8 @@ def _tolist(arr):
 
 
 class Core:
-    """Cursor over one core's trace with completion-time bookkeeping.
+    """The interpreter's cursor over one core's trace, with completion-time
+    bookkeeping.
 
     The trace's numpy arrays are converted to plain Python lists up front:
     the event loop consumes one scalar per event, and per-element numpy
@@ -32,6 +33,10 @@ class Core:
     several times a plain list index on that path. The one-time conversion
     applies the same ``float``/``int``/``bool`` casts the per-record path
     used to, so consumers see identical values and types.
+
+    The batch engine builds no ``Core``: its kernels walk flat arrays and
+    keep only each core's outcome (``repro.sim.batch.CoreOutcome``: finish
+    time, last read completion, reads and writes issued).
     """
 
     def __init__(self, core_id: int, trace: CoreTrace, start_index: int = 0) -> None:

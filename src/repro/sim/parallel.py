@@ -568,10 +568,11 @@ class CellResult:
 
     cell: SweepCell
     result: SimResult
-    #: Wall-clock seconds of the simulation that produced ``result`` (the
-    #: original run's time when served from cache). Excludes trace build.
+    #: Wall-clock seconds this run spent simulating the cell: 0.0 when
+    #: served from cache (see ``cached_wall_seconds``). Excludes trace build.
     wall_seconds: float
     heap_events: int
+    #: This run's simulation rate (0.0 when served from cache).
     events_per_sec: float
     from_cache: bool
     #: Seconds this cell's executor spent materializing its workload
@@ -586,6 +587,9 @@ class CellResult:
     #: Purely telemetry — both engines are bit-exact, so the result and
     #: its cache key are engine-independent.
     engine_used: str = ""
+    #: Wall-clock seconds of the original run that produced a cached
+    #: ``result`` (0.0 for a cell simulated by this run).
+    cached_wall_seconds: float = 0.0
 
 
 @dataclass
@@ -773,15 +777,24 @@ def run_sweep(
 def _cell_result(
     cell: SweepCell, result: SimResult, telemetry: Dict, from_cache: bool
 ) -> CellResult:
-    """Assemble one CellResult from executor (or cached-run) telemetry."""
+    """Assemble one CellResult from executor (or cached-run) telemetry.
+
+    Telemetry is the run that produced ``result``; for a cell served from
+    the result cache or a journal, that run's seconds move to
+    ``cached_wall_seconds`` and this run's cost is zero.
+    """
+    wall = float(telemetry.get("wall_seconds", 0.0))
     return CellResult(
         cell=cell,
         result=result,
-        wall_seconds=float(telemetry.get("wall_seconds", 0.0)),
+        wall_seconds=0.0 if from_cache else wall,
         heap_events=int(telemetry.get("heap_events", result.heap_events)),
-        events_per_sec=float(telemetry.get("events_per_sec", 0.0)),
+        events_per_sec=(
+            0.0 if from_cache else float(telemetry.get("events_per_sec", 0.0))
+        ),
         from_cache=from_cache,
         trace_build_seconds=float(telemetry.get("trace_build_seconds", 0.0)),
         trace_source=str(telemetry.get("trace_source", "")),
         engine_used=str(telemetry.get("engine_used", "")),
+        cached_wall_seconds=wall if from_cache else 0.0,
     )

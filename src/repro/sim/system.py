@@ -22,7 +22,7 @@ import heapq
 import os
 import sys
 from itertools import count
-from typing import Callable, List, Union
+from typing import Callable, List, Optional, Union
 
 from repro.dram.device import DramDevice
 from repro.dram.energy import system_energy
@@ -89,7 +89,9 @@ class System:
             self.design = make_design(
                 design, config, self.stacked, self.memory, self.schedule
             )
-        self._cores: List[Core] = []
+        #: Per-core state read by :meth:`_collect`: :class:`Core` cursors
+        #: under the interpreter, ``batch.CoreOutcome`` rows after a batch run.
+        self._cores: list = []
         # Invariant layer: installed only when explicitly enabled (config
         # flag or REPRO_VERIFY=1); None means the hot path is untouched.
         from repro.verify.invariants import maybe_install
@@ -139,12 +141,21 @@ class System:
     # ------------------------------------------------------------------
     # Warmup
     # ------------------------------------------------------------------
-    def _warm(self) -> List[int]:
-        """Functionally replay leading records; returns per-core start index."""
-        starts = []
+    def _warm(self, replay: Optional[Callable] = None) -> List[int]:
+        """Functionally replay leading records; returns per-core start index.
+
+        ``replay(system, starts)`` — the batch engine's array warmup — may
+        bring the design to its post-warmup state in one step and return
+        True; otherwise every record goes through ``design.warm`` in order.
+        """
+        starts = [
+            warmup_split(trace, self.warmup_fraction)
+            for trace in self.workload.cores
+        ]
+        if replay is not None and replay(self, starts):
+            return starts
         for core_id, trace in enumerate(self.workload.cores):
-            split = warmup_split(trace, self.warmup_fraction)
-            starts.append(split)
+            split = starts[core_id]
             if not split:
                 continue
             addresses = trace.addresses[:split]

@@ -45,18 +45,12 @@ DEVICE_MATRIX: Tuple[Tuple[DramTimings, str], ...] = (
     (OFFCHIP_DDR3, "closed"),
 )
 
-#: Designs and benchmarks the System-level differential rotates through
-#: (one combination drawn per system seed). Covers every batch-kernel
-#: family: direct-mapped Alloy, set-associative (LH/SRAM-tag plus the
-#: multi-way Alloy), the victim buffer, and the tagless ideal bound.
-SYSTEM_DESIGNS = (
-    "alloy-map-i",
-    "lh-cache",
-    "sram-tag",
-    "ideal-lo",
-    "alloy-2way",
-    "alloy-victim16",
-)
+#: Designs and benchmarks the System-level differential draws from. The
+#: designs rotate (see :func:`system_design`) through every design the batch
+#: engine has a kernel for, so ``--system-seeds 20`` walks them all; the
+#: first six span the kernel families (direct-mapped and multi-way Alloy,
+#: LH-Cache, SRAM-tag, IDEAL-LO, the victim buffer).
+SYSTEM_DESIGNS = batch.BATCH_DESIGNS
 SYSTEM_BENCHMARKS = ("mcf_r", "gcc_r", "milc_r", "lbm_r")
 #: MSHRs-per-core values the system seeds rotate through — >1 exercises
 #: the kernels' in-flight (MLP) path against the interpreter's.
@@ -221,6 +215,11 @@ def fuzz_device_pair(
 # ----------------------------------------------------------------------
 # System-level differential
 # ----------------------------------------------------------------------
+def system_design(seed: int) -> str:
+    """The design that system seed ``seed`` pairs across the engines."""
+    return SYSTEM_DESIGNS[seed % len(SYSTEM_DESIGNS)]
+
+
 def fuzz_system_pair(
     seed: int,
     reads_per_core: int = 300,
@@ -241,7 +240,7 @@ def fuzz_system_pair(
     from repro.workloads.spec import build_workload
 
     rng = random.Random(seed)
-    design = SYSTEM_DESIGNS[seed % len(SYSTEM_DESIGNS)]
+    design = system_design(seed)
     benchmark = rng.choice(SYSTEM_BENCHMARKS)
     num_cores = rng.choice((1, 2, 4))
     offchip_policy = rng.choice(("open", "closed"))

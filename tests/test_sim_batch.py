@@ -13,33 +13,10 @@ import dataclasses
 
 import pytest
 
+from repro.sim.batch import BATCH_DESIGNS
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads.spec import build_workload
-
-#: Every design the batch engine has a kernel for.
-BATCH_DESIGNS = (
-    "no-cache",
-    "sram-tag",
-    "sram-tag-1way",
-    "lh-cache",
-    "lh-cache-rand",
-    "lh-cache-1way",
-    "ideal-lo",
-    "ideal-lo-notag",
-    "alloy-nopred",
-    "alloy-missmap",
-    "alloy-sam",
-    "alloy-pam",
-    "alloy-map-g",
-    "alloy-map-i",
-    "alloy-perfect",
-    "alloy-burst8",
-    "alloy-2way",
-    "alloy-4way",
-    "alloy-victim16",
-    "alloy-victim64",
-)
 
 #: Designs the engine must decline (no kernel: the L3-filter design is
 #: the only factory design left outside the envelope).
@@ -316,6 +293,18 @@ class TestIntegration:
         from repro.verify.fuzzer import fuzz_system_pair
 
         assert fuzz_system_pair(0, reads_per_core=120) == []
+
+    def test_fuzzer_rotation_draws_every_kernel_design(self):
+        """``repro check``'s system tier rotates through BATCH_DESIGNS, so
+        one seed per design walks every kernel design once — and those are
+        every factory design but the fallbacks."""
+        from repro.dramcache.factory import DESIGN_NAMES
+        from repro.verify.fuzzer import system_design
+
+        assert len(set(BATCH_DESIGNS)) == len(BATCH_DESIGNS) == 20
+        assert set(BATCH_DESIGNS) | set(FALLBACK_DESIGNS) == set(DESIGN_NAMES)
+        drawn = [system_design(seed) for seed in range(len(BATCH_DESIGNS))]
+        assert sorted(drawn) == sorted(BATCH_DESIGNS)
 
     def test_execute_cell_defaults_to_auto_and_reports_engine(
         self, monkeypatch

@@ -246,6 +246,37 @@ class TestTelemetry:
         )
         assert report.elapsed_seconds > 0
 
+    def test_warm_resweep_reports_only_its_own_cost(self, cache):
+        """A cell served from the result cache cost this run nothing: its
+        wall_seconds/events_per_sec are zero, and the run that produced it
+        reports its seconds in cached_wall_seconds."""
+        first = run_sweep(tiny_cells(), max_workers=1, cache=cache)
+        again = run_sweep(tiny_cells(), max_workers=1, cache=cache)
+        assert again.cache_hits == 4
+        for ran, served in zip(first.cells, again.cells):
+            assert not ran.from_cache
+            assert ran.cached_wall_seconds == 0.0
+            assert served.from_cache
+            assert served.wall_seconds == 0.0
+            assert served.events_per_sec == 0.0
+            assert served.cached_wall_seconds == ran.wall_seconds > 0
+        assert again.simulated_seconds == 0.0
+
+    def test_cached_wall_seconds_round_trips_the_wire(self, cache):
+        from repro.serve.protocol import (
+            cell_result_from_dict,
+            cell_result_to_dict,
+        )
+
+        run_sweep(tiny_cells(), max_workers=1, cache=cache)
+        served = run_sweep(tiny_cells(), max_workers=1, cache=cache).cells[0]
+        wire = cell_result_to_dict(served)
+        back = cell_result_from_dict(json.loads(json.dumps(wire)))
+        assert back.cached_wall_seconds == served.cached_wall_seconds > 0
+        assert back.wall_seconds == 0.0
+        del wire["cached_wall_seconds"]  # a payload from before the field
+        assert cell_result_from_dict(wire).cached_wall_seconds == 0.0
+
     def test_render_mentions_cache_and_events(self, cache):
         report = run_sweep(tiny_cells(), max_workers=1, cache=cache)
         rendered = report.render()
