@@ -593,7 +593,10 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out",
         metavar="PATH",
-        help="output JSON path (default BENCH_<date>.json in the cwd)",
+        help=(
+            "output JSON path (default BENCH_<date>.json in the cwd, which "
+            "must not exist yet: name it here to replace it)"
+        ),
     )
     parser.add_argument(
         "--no-write",
@@ -718,6 +721,16 @@ def _bench_main(argv: List[str]) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
 
+    out = Path(args.out) if args.out else perf_bench.default_bench_path()
+    if not (args.no_write or args.out) and out.exists():
+        # Today's default file may be a committed baseline CI gates on.
+        print(
+            f"bench: {out} exists; pass --out {out} to replace it, or "
+            f"another --out path",
+            file=sys.stderr,
+        )
+        return 2
+
     repeats = args.repeats
     if repeats is None:
         repeats = 2 if args.quick else perf_bench.DEFAULT_REPEATS
@@ -799,7 +812,6 @@ def _bench_main(argv: List[str]) -> int:
             status = 1
 
     if not args.no_write:
-        out = Path(args.out) if args.out else perf_bench.default_bench_path()
         perf_bench.write_bench(payload, out)
         print(f"\nwrote {out}")
     return status

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.jobs.journal import JobJournal
 from repro.jobs.manager import Job, JobRunLock, cell_to_dict, open_job
@@ -210,11 +210,27 @@ def _execute_cells(
         handles: Dict[str, SharedWorkloadHandle] = {}
         acquired: List[str] = []
         futures: Dict[Future, str] = {}
+        remaining: Set[Future] = set()
+
+        def _collect(done) -> None:
+            for future in done:
+                remaining.discard(future)
+                key = futures[future]
+                result, telemetry = future.result()
+                if use_cache:
+                    # Workers persisted to disk already; adopt into the
+                    # parent's memory tier without a re-read.
+                    cache.remember(key, result, telemetry)
+                _finish(key, result, telemetry)
+
         try:
             if share:
                 pool = _par._get_pool(max_workers)
                 arena = get_workload_arena()
                 for key, indices in pending.items():
+                    # Report cells that finished while the parent was
+                    # building later rows' traces.
+                    _collect([f for f in remaining if f.done()])
                     cell = cells[indices[0]]
                     params = cell.workload_params()
                     wkey = params.key()
@@ -229,15 +245,15 @@ def _execute_cells(
                         handle = acquire_shared_workload(wkey, workload)
                         handles[wkey] = handle
                         acquired.append(wkey)
-                    futures[
-                        pool.submit(
-                            _par._worker,
-                            cell,
-                            str(cache.directory),
-                            persist,
-                            handle,
-                        )
-                    ] = key
+                    future = pool.submit(
+                        _par._worker,
+                        cell,
+                        str(cache.directory),
+                        persist,
+                        handle,
+                    )
+                    futures[future] = key
+                    remaining.add(future)
             else:
                 # Fabric disabled: ephemeral pool, workers build their own
                 # workloads (each worker's arena memoizes across its cells).
@@ -245,26 +261,18 @@ def _execute_cells(
                     max_workers=min(max_workers, len(pending))
                 )
                 for key, indices in pending.items():
-                    futures[
-                        pool.submit(
-                            _par._worker,
-                            cells[indices[0]],
-                            str(cache.directory),
-                            persist,
-                            None,
-                        )
-                    ] = key
-            remaining = set(futures)
+                    future = pool.submit(
+                        _par._worker,
+                        cells[indices[0]],
+                        str(cache.directory),
+                        persist,
+                        None,
+                    )
+                    futures[future] = key
+                    remaining.add(future)
             while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = futures[future]
-                    result, telemetry = future.result()
-                    if use_cache:
-                        # Workers persisted to disk already; adopt into the
-                        # parent's memory tier without a re-read.
-                        cache.remember(key, result, telemetry)
-                    _finish(key, result, telemetry)
+                done, _ = wait(remaining, return_when=FIRST_COMPLETED)
+                _collect(done)
         except BrokenProcessPool:
             # A worker died mid-flight; the pool is poisoned. Drop it so
             # the next sweep starts clean. Cells journaled before the

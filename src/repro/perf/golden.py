@@ -12,9 +12,11 @@ Captures the reproduction's *behavior* (as opposed to its speed, which is
 
 ``write_golden()`` regenerates ``tests/goldens/scorecard.json``;
 ``check_golden()`` re-simulates and returns a field-level diff against the
-committed file. The JSON is rendered with sorted keys and a fixed indent,
-so any drift is a minimal, reviewable diff — and CI fails per-PR instead
-of waiting for the next paper re-anchor.
+committed file. Both run the trace generator for every golden workload
+and never read the result cache or a persisted trace. The JSON is
+rendered with sorted keys and a fixed indent, so any drift is a minimal,
+reviewable diff — and CI fails per-PR instead of waiting for the next
+paper re-anchor.
 
 Floats round-trip exactly through JSON (``repr`` of a double is lossless),
 so the check is bit-exact, which is precisely what the hot-path
@@ -83,19 +85,36 @@ def fig3_rows() -> List[Dict]:
 
 
 def grid_results(cells: Optional[Sequence[BenchCell]] = None) -> Dict[str, Dict]:
-    """Simulate every golden cell (cache bypassed) -> cell_id -> SimResult."""
-    from repro.sim.runner import run_benchmark
+    """Simulate every golden cell -> cell_id -> SimResult.
 
+    Bypasses the result cache and every persisted trace: each workload is
+    generated once per call, in a private memory-only arena. A pure
+    speedup of the generator keeps ``GENERATOR_VERSION`` and so the keys
+    of persisted ``.npz`` traces; reading one would check the old
+    generator's output instead of the current one.
+    """
+    from repro.sim.parallel import SweepCell
+    from repro.sim.system import System
+    from repro.workloads.arena import WorkloadArena
+
+    arena = WorkloadArena(persist=False)
     out = {}
     for cell in cells if cells is not None else golden_grid():
-        result = run_benchmark(
+        sweep_cell = SweepCell(
             cell.design,
             cell.benchmark,
             reads_per_core=cell.reads_per_core,
             warmup_fraction=cell.warmup_fraction,
             seed=cell.seed,
         )
-        out[cell.cell_id] = result.to_dict()
+        workload, _ = arena.fetch(sweep_cell.workload_params())
+        system = System(
+            sweep_cell.config,
+            sweep_cell.design,
+            workload,
+            warmup_fraction=sweep_cell.warmup_fraction,
+        )
+        out[cell.cell_id] = system.run().to_dict()
     return out
 
 

@@ -124,13 +124,20 @@ class WorkloadParams:
 # ----------------------------------------------------------------------
 # Two-tier workload cache
 # ----------------------------------------------------------------------
+#: Guards every arena's memo and counters, and the process-wide arena
+#: map. ``repro serve`` runs jobs on threads that share one arena.
+_arena_lock = threading.Lock()
+
+
 class WorkloadArena:
     """Memo + ``.npz``-on-disk cache of generated workloads.
 
     Disk writes are atomic (unique temp file + ``os.replace``), so
     concurrent processes sharing one cache directory never read torn
     arenas. The memo is FIFO-capped: workloads are a few MB each and a
-    long ``repro all`` session touches dozens.
+    long ``repro all`` session touches dozens. The memo and the counters
+    are thread-safe; two threads missing on one key may both build it
+    (identically), and the generator runs outside the lock.
     """
 
     def __init__(
@@ -167,17 +174,19 @@ class WorkloadArena:
         for builds, the load time for disk hits, ~0 for memo hits.
         """
         key = params.key()
-        workload = self._memory.get(key)
-        if workload is not None:
-            self.memo_hits += 1
-            return workload, {"trace_source": "memo", "trace_build_seconds": 0.0}
+        with _arena_lock:
+            workload = self._memory.get(key)
+            if workload is not None:
+                self.memo_hits += 1
+                return workload, {"trace_source": "memo", "trace_build_seconds": 0.0}
         if self._persist():
             started = time.perf_counter()
             workload = load_arena(self._path(key), params)
             if workload is not None:
                 elapsed = time.perf_counter() - started
-                self.disk_hits += 1
-                self._remember(key, workload)
+                with _arena_lock:
+                    self.disk_hits += 1
+                    self._remember(key, workload)
                 return workload, {
                     "trace_source": "npz",
                     "trace_build_seconds": elapsed,
@@ -185,9 +194,10 @@ class WorkloadArena:
         started = time.perf_counter()
         workload = _generate(params)
         elapsed = time.perf_counter() - started
-        self.builds += 1
-        self.build_seconds += elapsed
-        self._remember(key, workload)
+        with _arena_lock:
+            self.builds += 1
+            self.build_seconds += elapsed
+            self._remember(key, workload)
         if self._persist():
             save_arena(self._path(key), workload, params)
         return workload, {
@@ -204,17 +214,20 @@ class WorkloadArena:
         hit instead of a second streaming decode of the same file.
         """
         key = params.key()
-        self._remember(key, workload)
+        with _arena_lock:
+            self._remember(key, workload)
         if self._persist() and not self._path(key).exists():
             save_arena(self._path(key), workload, params)
 
     def _remember(self, key: str, workload: Workload) -> None:
+        """Insert into the memo, evicting the oldest; hold ``_arena_lock``."""
         while len(self._memory) >= self.memo_capacity:
             self._memory.pop(next(iter(self._memory)))
         self._memory[key] = workload
 
     def clear(self, disk: bool = False) -> None:
-        self._memory.clear()
+        with _arena_lock:
+            self._memory.clear()
         if disk and self._dir().is_dir():
             for path in self._dir().glob("*.npz"):
                 try:
@@ -265,9 +278,10 @@ def get_workload_arena(directory: Optional[Path] = None) -> WorkloadArena:
     """
     resolved = Path(directory) if directory is not None else default_trace_dir()
     key = (str(resolved), trace_cache_enabled())
-    if key not in _shared_arenas:
-        _shared_arenas[key] = WorkloadArena(directory=resolved)
-    return _shared_arenas[key]
+    with _arena_lock:
+        if key not in _shared_arenas:
+            _shared_arenas[key] = WorkloadArena(directory=resolved)
+        return _shared_arenas[key]
 
 
 # ----------------------------------------------------------------------

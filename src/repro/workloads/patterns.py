@@ -17,12 +17,20 @@ the post-L3 stream, and each is a first-class parameter here:
 Hit/miss outcomes correlate with the generating component, and each component
 draws from its own small pool of instruction addresses — which is precisely
 the correlation MAP-I exploits (Section 5.3.2).
+
+:func:`generate_core_trace` draws a trace in two passes. Pass 1 walks the
+phases (runs of bursts from one component) and bursts, and only records
+each component's random draws. Pass 2 turns them into line addresses and
+PC slots with a few numpy calls per component for the whole trace. A fixed
+draw order per generator (see its docstring) keeps every stream identical,
+bit for bit, to the original record-at-a-time generator's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -33,8 +41,9 @@ from repro.workloads.trace import CoreTrace
 #: cache key (:mod:`repro.workloads.arena`): bump whenever a change to this
 #: module alters the emitted addresses/pcs/gaps for any (config, seed), so
 #: persisted ``.npz`` arenas from older generators are invalidated. Pure
-#: speedups that keep streams bit-identical (guarded by the golden
-#: scorecard) must NOT bump it.
+#: speedups that keep streams bit-identical must NOT bump it: they must
+#: reproduce every digest in ``tests/goldens/trace_digests.json`` (every
+#: catalog benchmark and mix at several lengths and scales) unedited.
 GENERATOR_VERSION = 1
 
 #: Compute CPI between misses for a 4-wide core (gap cycles per instruction).
@@ -46,12 +55,9 @@ DEFAULT_BURST = 3
 #: Geometric mean number of bursts a component stays active once selected.
 PHASE_BURSTS = 10
 
-#: Bursts at or above this many records are emitted as vectorized numpy
-#: expressions; shorter ones as plain Python lists (numpy's fixed per-call
-#: overhead loses below roughly this size). Both paths consume the RNG
-#: streams identically, so the threshold is a pure speed knob — moving it
-#: cannot change a generated trace.
-VECTOR_BURST_MIN = 16
+#: Kinds issued from interchangeable instructions: the trace's main
+#: generator draws their PC slots. Hot and zipf bind the slot to the address.
+_SLOT_FREE_KINDS = ("sequential", "strided", "pointer")
 
 
 @dataclass(frozen=True)
@@ -97,122 +103,120 @@ class PatternConfig:
         return self.footprint_bytes or sum(c.region_bytes for c in self.components)
 
 
-class _ComponentState:
-    """Mutable per-trace generation state for one component."""
+def zipf_ranks(uniforms: np.ndarray, power: float, region: int) -> np.ndarray:
+    """Zipf ranks ``min(int(u ** power) - 1, region - 1)`` of ``uniforms``.
+
+    Inverse-CDF power-law sample over ranks, clipped to the region. The
+    power is Python's ``**`` on Python floats, not ``np.power``, whose
+    SIMD loops can differ from it in the last ulp depending on the CPU's
+    vector extensions. A zero uniform clips to the region's last line.
+    """
+    top = region - 1
+    return np.array(
+        [min(int(u**power) - 1, top) if u else top for u in uniforms.tolist()],
+        dtype=np.int64,
+    )
+
+
+class _ComponentDraws:
+    """One component's generator, and the draws pass 1 records from it."""
 
     def __init__(self, comp: Component, region_lines: int, base_line: int, rng) -> None:
+        if comp.kind not in _SLOT_FREE_KINDS + ("hot", "zipf"):
+            raise ValueError(f"unknown component kind {comp.kind!r}")
         self.comp = comp
-        self.region_lines = max(region_lines, 1)
+        self.region = region = max(region_lines, 1)
         self.base_line = base_line
         self.rng = rng
-        self.cursor = int(rng.integers(self.region_lines))
-        # Precompute a Zipf rank permutation so rank 0 is a fixed hot line.
-        self._zipf_perm = None
+        self.cursor = int(rng.integers(region))
+        #: The pool the main generator draws this kind's PC slots from (0
+        #: for hot and zipf, whose slot follows the address).
+        self.slot_pool = comp.pc_pool if comp.kind in _SLOT_FREE_KINDS else 0
+        #: Records drawn so far; per burst, its length and draw (hot: the
+        #: start line; zipf: the uniforms; pointer: the lines).
+        self.records = 0
+        self.lengths: List[int] = []
+        self.draws: List = []
+        self._burst = {
+            "hot": lambda length: int(rng.integers(region)),
+            "zipf": lambda length: rng.random(length),
+            # The first value is the burst's start, which goes unused.
+            "pointer": lambda length: rng.integers(region, size=length + 1)[1:],
+        }.get(comp.kind)
 
-    def next_burst(self, max_len: int):
-        """Emit one burst as parallel (line_addresses, pc_slots) sequences.
+    def draw_phase(self, bursts: int, remaining: int) -> int:
+        """Pass 1: draw one phase of ``bursts`` bursts; return its records.
 
-        ``pc_slots`` is None for components whose accesses come from
-        interchangeable instructions; hot/zipf components bind the slot to
-        the address/rank, reproducing the real-program property that hot
-        and cold data are touched by different code paths — the correlation
-        MAP-I exploits (Section 5.3.2).
-
-        Long bursts come back as one vectorized numpy expression; short
-        bursts (below :data:`VECTOR_BURST_MIN`) as plain Python lists,
-        which beat numpy's per-call overhead at those sizes. Either way
-        the RNG draw *order* is exactly the record-at-a-time generator's:
-        scalar draws stay scalar, and per-record draws become one
-        ``size=length`` call, which numpy fills element-by-element from
-        the same bit stream — so the emitted values are bit-identical
-        regardless of which path a burst takes (pinned by the golden
-        scorecard).
+        The phase ends early, mid-burst, after ``remaining`` records.
         """
         comp = self.comp
-        rng = self.rng
-        region = self.region_lines
-        base = self.base_line
+        if self._burst is None:
+            # Sequential and strided records are a pure function of the
+            # running record count, so only the burst lengths are drawn.
+            mean = comp.run_length if comp.kind == "sequential" else DEFAULT_BURST
+            lengths = self.rng.geometric(1.0 / mean, size=bursts)
+            drawn = min(int(lengths.sum()), remaining)
+        else:
+            # The busiest loop of trace generation: locals, no min().
+            geometric = self.rng.geometric
+            burst = self._burst
+            add_length = self.lengths.append
+            add_draw = self.draws.append
+            p = 1.0 / DEFAULT_BURST
+            drawn = 0
+            for _ in range(bursts):
+                left = remaining - drawn
+                if left <= 0:
+                    break
+                length = geometric(p)
+                if length > left:
+                    length = left
+                add_length(length)
+                add_draw(burst(length))
+                drawn += length
+        self.records += drawn
+        return drawn
+
+    def lines_and_slots(self):
+        """Pass 2: this component's line addresses and PC slots, in order.
+
+        Slots are None for slot-free kinds. Hot and zipf components bind
+        the slot to the address/rank: hot and cold data are touched by
+        different code paths, the correlation MAP-I exploits.
+        """
+        comp = self.comp
+        region = self.region
+        index = np.arange(self.records, dtype=np.int64)
         if comp.kind == "sequential":
-            length = min(max(1, int(rng.geometric(1.0 / comp.run_length))), max_len)
-            cursor = self.cursor
-            self.cursor = (cursor + length) % region
-            if cursor + length <= region:
-                # No wrap (the common case: regions dwarf run lengths).
-                start = base + cursor
-                if length < VECTOR_BURST_MIN:
-                    return list(range(start, start + length)), None
-                return np.arange(start, start + length, dtype=np.int64), None
-            if length < VECTOR_BURST_MIN:
-                return [base + (cursor + i) % region for i in range(length)], None
-            rel = (cursor + np.arange(length, dtype=np.int64)) % region
-            return base + rel, None
+            # Bursts continue where the last one ended, across phases.
+            return self.base_line + (self.cursor + index) % region, None
         if comp.kind == "strided":
             # Fixed-stride walk (column sweeps, HPC grids): run_length is
             # the stride in lines. Strides >= a row's 32 lines defeat the
             # row buffer entirely (pure "type Y" traffic).
             stride = max(comp.run_length, 1)
-            length = min(max(1, int(rng.geometric(1.0 / DEFAULT_BURST))), max_len)
-            cursor = self.cursor
-            self.cursor = (cursor + stride * length) % region
-            if length < VECTOR_BURST_MIN:
-                return (
-                    [base + (cursor + stride * i) % region for i in range(length)],
-                    None,
-                )
-            rel = (cursor + stride * np.arange(length, dtype=np.int64)) % region
-            return base + rel, None
-        length = min(max(1, int(rng.geometric(1.0 / DEFAULT_BURST))), max_len)
+            return self.base_line + (self.cursor + stride * index) % region, None
+        if comp.kind == "pointer":
+            return self.base_line + np.concatenate(self.draws), None
         if comp.kind == "hot":
-            start = int(rng.integers(region))
-            pool = comp.pc_pool
             # PC binds to the address chunk: distinct loads walk distinct
             # structures, so a chunk that loses its cache slots to
             # conflicts keeps missing under the same PC — the per-PC
             # outcome bias MAP-I learns.
-            if length < VECTOR_BURST_MIN:
-                lines = []
-                slots = []
-                for i in range(length):
-                    line = (start + i) % region
-                    lines.append(base + line)
-                    slots.append(line * pool // region)
-                return lines, slots
-            rel = (start + np.arange(length, dtype=np.int64)) % region
-            return base + rel, rel * pool // region
-        if comp.kind == "zipf":
-            # Inverse-CDF power-law sample over ranks, clipped to region.
-            # Rank maps to a contiguous line: hot data is clustered, as in
-            # real heaps, which keeps direct-mapped conflicts between the
-            # hot head and cold tail realistic rather than maximal.
-            power = -1.0 / (comp.zipf_alpha - 1.0)
-            pool_top = comp.pc_pool - 1
-            if length < VECTOR_BURST_MIN:
-                lines = []
-                slots = []
-                for _ in range(length):
-                    rank = int(rng.random() ** power) - 1
-                    rank = min(rank, region - 1)
-                    lines.append(base + rank)
-                    slots.append(min(rank.bit_length(), pool_top))
-                return lines, slots
-            u = rng.random(size=length)
-            with np.errstate(over="ignore"):
-                raw = u**power
-            # Clip before the int cast (huge floats, inf); anything past
-            # 2**62 is far beyond every region and clips to region-1 anyway.
-            ranks = np.minimum(raw, float(1 << 62)).astype(np.int64) - 1
-            ranks = np.minimum(ranks, region - 1)
-            # frexp's exponent is exactly bit_length for ints < 2**53.
-            # (int64, not frexp's native int32: pc bases exceed 2**31.)
-            bit_lengths = np.frexp(ranks.astype(np.float64))[1].astype(np.int64)
-            return base + ranks, np.minimum(bit_lengths, pool_top)
-        if comp.kind == "pointer":
-            start = int(rng.integers(region))
-            self.cursor = start
-            # Batched even when short: one bounded-integers call beats
-            # ``length`` scalar calls at every size.
-            return base + rng.integers(region, size=length), None
-        raise ValueError(f"unknown component kind {comp.kind!r}")
+            lengths = np.array(self.lengths, dtype=np.int64)
+            first = np.cumsum(lengths) - lengths
+            starts = np.array(self.draws, dtype=np.int64)
+            rel = (np.repeat(starts - first, lengths) + index) % region
+            return self.base_line + rel, rel * comp.pc_pool // region
+        # Zipf: rank maps to a contiguous line, so hot data is clustered,
+        # as in real heaps, which keeps direct-mapped conflicts between the
+        # hot head and cold tail realistic rather than maximal.
+        power = -1.0 / (comp.zipf_alpha - 1.0)
+        ranks = zipf_ranks(np.concatenate(self.draws), power, region)
+        # frexp's exponent is exactly bit_length for ints < 2**53.
+        # (int64, not frexp's native int32: pc bases exceed 2**31.)
+        bit_lengths = np.frexp(ranks.astype(np.float64))[1].astype(np.int64)
+        return self.base_line + ranks, np.minimum(bit_lengths, comp.pc_pool - 1)
 
 
 def generate_core_trace(
@@ -227,6 +231,29 @@ def generate_core_trace(
     ``base_line`` offsets every address so rate-mode copies occupy disjoint
     physical ranges. Region sizes are divided by ``capacity_scale`` to match
     the scaled cache capacity (DESIGN.md, substitution 2).
+
+    Programs execute in phases: once a component becomes active it stays
+    active for several bursts (geometric, mean :data:`PHASE_BURSTS`), the
+    temporal clustering of hits and misses that history-based predictors
+    exploit (Section 5.3's MMMMHHHH example).
+
+    Draw order per generator (each component's first draws its cursor):
+
+    * main, per phase: ``random()`` (component), ``geometric(0.1)``
+      (bursts), then for a slot-free kind with ``pc_pool > 1`` one
+      ``integers(pc_pool, size=n)`` for the phase's ``n`` records; after
+      the last phase, the gaps and the writebacks;
+    * sequential and strided: one ``geometric(p, size=bursts)`` per phase;
+    * hot: per burst, ``geometric(1/3)`` then ``integers(region)``;
+    * zipf: per burst, ``geometric(1/3)`` then ``random(size=L)``;
+    * pointer: per burst, ``geometric(1/3)`` then
+      ``integers(region, size=L + 1)`` (the first value is the start).
+
+    These are the record-at-a-time generator's streams, bit for bit: a
+    sized call equals that many scalar calls, same-bound ``integers``
+    calls concatenate (PCG64 keeps its spare 32-bit half), generators are
+    independent, and lengths drawn past the trace's end are never used.
+    ``tests/test_trace_digests.py`` pins each of these numpy facts.
     """
     rng = np.random.default_rng(seed)
     comps = config.components
@@ -234,10 +261,7 @@ def generate_core_trace(
     # sequential component with run_length 64 emits ~64 accesses per draw.
     # Draw probabilities are therefore weight / expected-burst-length.
     burst_means = np.array(
-        [
-            c.run_length if c.kind == "sequential" else DEFAULT_BURST
-            for c in comps
-        ],
+        [c.run_length if c.kind == "sequential" else DEFAULT_BURST for c in comps],
         dtype=float,
     )  # strided/hot/zipf/pointer bursts all average DEFAULT_BURST accesses
     weights = np.array([c.weight for c in comps], dtype=float) / burst_means
@@ -245,67 +269,53 @@ def generate_core_trace(
     # Phase draws replicate ``rng.choice(len(comps), p=weights)`` with the
     # CDF hoisted out of the loop: Generator.choice is exactly
     # ``cdf.searchsorted(self.random(), side="right")`` after normalizing,
-    # so this consumes the identical stream (one double per draw) without
-    # re-validating and re-accumulating ``p`` thousands of times.
+    # and bisect_right on the same doubles finds the same index.
     comp_cdf = weights.cumsum()
-    comp_cdf /= comp_cdf[-1]
+    comp_cdf = (comp_cdf / comp_cdf[-1]).tolist()
 
     # Lay components out back-to-back inside the core's region.
-    states: List[_ComponentState] = []
+    states: List[_ComponentDraws] = []
     offset = 0
     for i, comp in enumerate(comps):
         region_lines = max(comp.region_bytes // capacity_scale // LINE_SIZE, 1)
-        states.append(
-            _ComponentState(
-                comp,
-                region_lines,
-                base_line + offset,
-                np.random.default_rng(seed * 1000003 + i),
-            )
-        )
+        comp_rng = np.random.default_rng(seed * 1000003 + i)
+        states.append(_ComponentDraws(comp, region_lines, base_line + offset, comp_rng))
         offset += region_lines
 
-    pc_base = 0x400000 + (seed & 0xFFFF) * 0x10000
-    comp_pc_bases = [pc_base + i * 0x1000 for i in range(len(comps))]
-
-    read_addrs_arr = np.empty(num_reads, dtype=np.int64)
-    read_pcs_arr = np.empty(num_reads, dtype=np.int64)
-    read_dep_arr = np.zeros(num_reads, dtype=bool)
+    # Pass 1: phases and bursts; only the draws are kept.
+    slots = np.zeros(num_reads, dtype=np.int64)
+    phase_comps: List[int] = []
+    phase_records: List[int] = []
     total = 0
-    # Programs execute in phases: once a component becomes active it stays
-    # active for several bursts (geometric, mean PHASE_BURSTS). This temporal
-    # clustering of hits and misses is what history-based predictors exploit
-    # (Section 5.3's MMMMHHHH example). Bursts land as whole-array slice
-    # assignments into preallocated outputs, and the per-record PC draws of
-    # slot-free components become one batched ``integers`` call — which
-    # consumes the main RNG stream in the same order as the old
-    # record-at-a-time loop.
     while total < num_reads:
-        comp_idx = int(comp_cdf.searchsorted(rng.random(), side="right"))
-        comp = comps[comp_idx]
+        comp_idx = bisect_right(comp_cdf, rng.random())
         state = states[comp_idx]
-        comp_pc_base = comp_pc_bases[comp_idx]
-        is_pointer = comp.kind == "pointer"
-        phase_bursts = max(1, int(rng.geometric(1.0 / PHASE_BURSTS)))
-        for _ in range(phase_bursts):
-            if total >= num_reads:
-                break
-            lines, slots = state.next_burst(num_reads - total)
-            end = total + len(lines)
-            read_addrs_arr[total:end] = lines
-            if slots is None:
-                if comp.pc_pool > 1:
-                    slots = rng.integers(comp.pc_pool, size=len(lines))
-                    read_pcs_arr[total:end] = comp_pc_base + slots * 4
-                else:
-                    read_pcs_arr[total:end] = comp_pc_base
-            elif type(slots) is list:
-                read_pcs_arr[total:end] = [comp_pc_base + s * 4 for s in slots]
-            else:
-                read_pcs_arr[total:end] = comp_pc_base + slots * 4
-            if is_pointer:
-                read_dep_arr[total:end] = True
-            total = end
+        bursts = int(rng.geometric(1.0 / PHASE_BURSTS))
+        records = state.draw_phase(bursts, num_reads - total)
+        if state.slot_pool > 1:  # a one-PC pool draws nothing
+            slots[total : total + records] = rng.integers(state.slot_pool, size=records)
+        phase_comps.append(comp_idx)
+        phase_records.append(records)
+        total += records
+
+    # Pass 2: each component's records, scattered through the per-record
+    # component index.
+    record_comp = np.repeat(
+        np.array(phase_comps, dtype=np.intp), np.array(phase_records, dtype=np.intp)
+    )
+    read_addrs_arr = np.empty(num_reads, dtype=np.int64)
+    for comp_idx, state in enumerate(states):
+        if state.records:
+            lines, comp_slots = state.lines_and_slots()
+            mine = record_comp == comp_idx
+            read_addrs_arr[mine] = lines
+            if comp_slots is not None:
+                slots[mine] = comp_slots
+    pc_base = 0x400000 + (seed & 0xFFFF) * 0x10000
+    comp_pc_bases = pc_base + 0x1000 * np.arange(len(comps), dtype=np.int64)
+    read_pcs_arr = comp_pc_bases[record_comp] + slots * 4
+    is_pointer = np.array([c.kind == "pointer" for c in comps], dtype=bool)
+    read_dep_arr = is_pointer[record_comp]
 
     # Gap cycles: calibrated mean compute time between misses (see
     # PatternConfig.gap_mean_cycles) with exponential jitter for burstiness.
@@ -315,32 +325,17 @@ def generate_core_trace(
     # Writebacks: dirty L3 victims. Each is an address read a while ago
     # (L3-residency lag), posted alongside a demand miss (gap 0).
     num_writes = int(num_reads * config.write_fraction / (1.0 - config.write_fraction))
-    if num_writes:
-        src = rng.integers(0, num_reads, size=num_writes)
-        lag = rng.integers(1, 512, size=num_writes)
-        wb_idx = np.maximum(src - lag, 0)
-        write_addrs = read_addrs_arr[wb_idx]
-        insert_pos = np.sort(rng.integers(0, num_reads + 1, size=num_writes))
-        addresses = np.insert(read_addrs_arr, insert_pos, write_addrs)
-        pcs = np.insert(read_pcs_arr, insert_pos, 0)
-        gaps_all = np.insert(gaps, insert_pos, 0.0)
-        dependent = np.insert(read_dep_arr, insert_pos, False)
-        is_write = np.zeros(num_reads + num_writes, dtype=bool)
-        write_positions = insert_pos + np.arange(num_writes)
-        is_write[write_positions] = True
-    else:
-        addresses = read_addrs_arr
-        pcs = read_pcs_arr
-        gaps_all = gaps
-        dependent = read_dep_arr
-        is_write = np.zeros(num_reads, dtype=bool)
-
-    instructions = int(num_reads * 1000.0 / config.mpki)
+    src = rng.integers(0, num_reads, size=num_writes)
+    lag = rng.integers(1, 512, size=num_writes)
+    write_addrs = read_addrs_arr[np.maximum(src - lag, 0)]
+    insert_pos = np.sort(rng.integers(0, num_reads + 1, size=num_writes))
+    is_write = np.zeros(num_reads + num_writes, dtype=bool)
+    is_write[insert_pos + np.arange(num_writes)] = True
     return CoreTrace(
-        gaps=gaps_all,
-        addresses=addresses,
+        gaps=np.insert(gaps, insert_pos, 0.0),
+        addresses=np.insert(read_addrs_arr, insert_pos, write_addrs),
         is_write=is_write,
-        pcs=pcs,
-        instructions=instructions,
-        is_dependent=dependent,
+        pcs=np.insert(read_pcs_arr, insert_pos, 0),
+        instructions=int(num_reads * 1000.0 / config.mpki),
+        is_dependent=np.insert(read_dep_arr, insert_pos, False),
     )

@@ -10,6 +10,7 @@ the missing cells.
 import dataclasses
 import json
 import os
+import time
 
 import pytest
 
@@ -283,6 +284,61 @@ class TestResumeEquivalence:
         report = submit_job(job, cache=cache)
         assert report.cache_hits == len(job.cells)
         assert job.journal().completed_count() == len(job.cells)
+
+
+class TestIncrementalReporting:
+    def test_cells_reported_while_later_traces_build(self, monkeypatch):
+        """On the pool path a finished cell is reported while the parent
+        is still building a later row's trace, not after the last one."""
+        from repro.workloads.arena import WorkloadArena
+
+        monkeypatch.delenv("REPRO_SHARED_TRACES", raising=False)
+        submitted = []
+        real_get_pool = _par._get_pool
+
+        class RecordingPool:
+            def __init__(self, pool):
+                self._pool = pool
+
+            def submit(self, *args, **kwargs):
+                future = self._pool.submit(*args, **kwargs)
+                submitted.append(future)
+                return future
+
+        monkeypatch.setattr(
+            _par, "_get_pool", lambda n: RecordingPool(real_get_pool(n))
+        )
+        real_fetch = WorkloadArena.fetch
+        fetch_returns = []
+
+        def slow_fetch(self, params):
+            out = real_fetch(self, params)
+            if params.benchmark == "gcc_r":
+                # A slow build: it lasts until the first row's cell is done.
+                deadline = time.monotonic() + 60
+                while not any(f.done() for f in submitted):
+                    assert time.monotonic() < deadline, "first cell never ran"
+                    time.sleep(0.01)
+            fetch_returns.append(time.monotonic())
+            return out
+
+        monkeypatch.setattr(WorkloadArena, "fetch", slow_fetch)
+        reported = []
+        cells = make_cells(
+            ("no-cache",),
+            ("sphinx_r", "gcc_r", "mcf_r"),
+            config=tiny_config(),
+            reads_per_core=250,
+        )
+        report = submit_job(
+            ephemeral_job(cells),
+            max_workers=2,
+            use_cache=False,
+            on_cell=lambda slot: reported.append(time.monotonic()),
+        )
+        assert len(report.cells) == len(reported) == 3
+        assert len(fetch_returns) == 3
+        assert reported[0] < fetch_returns[-1]
 
 
 class TestExperimentJobs:

@@ -5,10 +5,14 @@ cell ids are the cross-run join keys, payloads are schema-versioned, and
 the comparison must normalize away host speed rather than code speed.
 """
 
+import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.perf import bench as perf_bench
 from repro.perf.bench import (
     BENCH_SCHEMA,
     DEFAULT_BENCHMARKS,
@@ -25,10 +29,22 @@ from repro.perf.bench import (
     write_bench,
 )
 from repro.perf.golden import (
+    GOLDEN_READS,
     canonical_dumps,
     diff_payloads,
     golden_grid,
+    grid_results,
 )
+from repro.workloads.arena import (
+    WorkloadParams,
+    default_trace_dir,
+    get_workload_arena,
+    save_arena,
+)
+from repro.workloads.spec import generate_workload
+from repro.workloads.trace import Workload
+
+SCORECARD = Path(__file__).parent / "goldens" / "scorecard.json"
 
 
 class TestGridConstruction:
@@ -198,6 +214,67 @@ class TestGoldenHelpers:
         assert diffs == ["$.b: missing from current run"]
         diffs = diff_payloads({"a": 1, "c": 3}, {"a": 1})
         assert diffs == ["$.c: not in golden file"]
+
+
+class TestGoldenRunsTheGenerator:
+    def test_tampered_persisted_arena_is_not_read(self, tmp_path, monkeypatch):
+        """A persisted trace under a golden workload's key cannot stand in
+        for the generator: the golden cell still matches the scorecard."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+        cell = BenchCell("alloy-map-i", "milc_r", reads_per_core=GOLDEN_READS)
+        params = WorkloadParams("milc_r", reads_per_core=GOLDEN_READS)
+        real = generate_workload("milc_r", reads_per_core=GOLDEN_READS)
+        tampered = Workload(
+            real.name,
+            [
+                dataclasses.replace(t, addresses=np.roll(t.addresses, 1))
+                for t in real.cores
+            ],
+        )
+        save_arena(default_trace_dir() / f"{params.key()}.npz", tampered, params)
+        # The shared arena would serve the tampered trace from disk.
+        _, telemetry = get_workload_arena().fetch(params)
+        assert telemetry["trace_source"] == "npz"
+
+        golden = json.loads(SCORECARD.read_text())
+        got = grid_results([cell])
+        assert got[cell.cell_id] == golden["grid"][cell.cell_id]
+
+
+class TestBenchOutputGuard:
+    """``repro bench`` never silently replaces a committed BENCH file."""
+
+    @pytest.fixture
+    def no_timing(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("timing started")
+
+        monkeypatch.setattr(perf_bench, "run_bench", refuse)
+        path = perf_bench.default_bench_path()
+        path.write_text("committed\n")
+        return path
+
+    def test_refuses_todays_file_before_timing(self, no_timing, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "--quick"]) == 2
+        assert no_timing.read_text() == "committed\n"
+        assert "--out" in capsys.readouterr().err
+
+    def test_explicit_out_may_name_it(self, no_timing):
+        from repro.cli import main
+
+        with pytest.raises(RuntimeError, match="timing started"):
+            main(["bench", "--quick", "--out", str(no_timing)])
+
+    def test_no_write_is_not_refused(self, no_timing):
+        from repro.cli import main
+
+        with pytest.raises(RuntimeError, match="timing started"):
+            main(["bench", "--quick", "--no-write"])
 
 
 class TestLatestBenchFile:

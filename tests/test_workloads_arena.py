@@ -2,6 +2,9 @@
 
 import dataclasses
 import hashlib
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.workloads.arena import (
     share_workload,
 )
 from repro.workloads.spec import build_workload, generate_workload
+from repro.workloads.trace import Workload
 
 PARAMS = WorkloadParams(benchmark="gcc_r", reads_per_core=400)
 
@@ -182,6 +186,74 @@ class TestArenaTiers:
         assert build_workload("gcc", reads_per_core=400) is build_workload(
             "gcc_r", reads_per_core=400
         )
+
+
+class _YieldingKey(str):
+    """A memo key whose hash yields the GIL, widening any window between
+    a thread choosing an eviction victim and popping it."""
+
+    def __hash__(self) -> int:
+        time.sleep(0)
+        return str.__hash__(self)
+
+
+class _Keyed:
+    """Params stand-in with a precomputed key."""
+
+    def __init__(self, key: str) -> None:
+        self._key = _YieldingKey(key)
+
+    def key(self) -> str:
+        return self._key
+
+
+def _run_threads(target, count=4):
+    """Run ``target(i)`` on ``count`` threads with a short switch interval."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestArenaThreads:
+    def test_concurrent_adopts_at_capacity(self, tmp_path):
+        """Threads evicting from a full memo never pick the same victim
+        (``repro serve`` runs jobs on threads sharing one arena)."""
+        arena = WorkloadArena(directory=tmp_path, persist=False, memo_capacity=4)
+        dummy = Workload(name="dummy")
+        errors = []
+
+        def adopt_all(thread_id):
+            try:
+                for i in range(300):
+                    arena.adopt(_Keyed(f"{thread_id}-{i}"), dummy)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        _run_threads(adopt_all)
+        assert errors == []
+        assert len(arena._memory) == 4
+
+    def test_concurrent_memo_hits_are_all_counted(self, tmp_path):
+        arena = WorkloadArena(directory=tmp_path, persist=False)
+        keyed = [_Keyed(f"k{i}") for i in range(4)]
+        for params in keyed:
+            arena.adopt(params, Workload(name="dummy"))
+
+        def fetch_all(thread_id):
+            for _ in range(500):
+                for params in keyed:
+                    assert arena.fetch(params)[1]["trace_source"] == "memo"
+
+        _run_threads(fetch_all)
+        assert arena.memo_hits == 4 * 500 * len(keyed)
 
 
 class TestSharedMemory:
