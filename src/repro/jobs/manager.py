@@ -31,6 +31,7 @@ import os
 import re
 import shutil
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -172,8 +173,14 @@ class Job:
     directory: Optional[Path] = None
     created: str = ""
 
-    @property
+    @cached_property
     def job_id(self) -> str:
+        """The content-keyed id (:func:`job_id_for`), hashed once per job.
+
+        Nothing reassigns ``name`` or mutates ``cells`` after construction,
+        and the id is read again and again: by the job directory, the
+        journal header and every event ``repro serve`` streams for the job.
+        """
         return job_id_for(self.name, self.cells)
 
     @property

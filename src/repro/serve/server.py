@@ -38,6 +38,7 @@ process pool is grown once and never thrashed by interleaved jobs.
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 import sys
 import threading
@@ -63,6 +64,11 @@ from repro.workloads.arena import (
     segment_pool_stats,
     set_idle_segment_cap,
 )
+
+#: Longest NDJSON line either reader accepts (asyncio's default is 64 KiB,
+#: about 97 default-config cells). A 16 MiB submit holds ~24k cells; a
+#: longer line is answered with ``bad-request`` and its connection closed.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 
 @dataclass
@@ -198,6 +204,30 @@ class _TokenBucket:
         return False
 
 
+async def _readline(reader: asyncio.StreamReader, send) -> bytes:
+    """The next NDJSON line, or ``b""`` when the session should end: end
+    of input, a dropped connection, or a line longer than
+    ``MAX_LINE_BYTES``. The rest of an over-long line is still on the wire,
+    so that one is answered with ``bad-request`` and the connection closed
+    rather than resynchronized."""
+    try:
+        return await reader.readline()
+    except (ConnectionError, OSError):
+        return b""
+    except ValueError:  # readline's form of LimitOverrunError
+        await send(
+            {
+                "event": "error",
+                "code": "bad-request",
+                "error": (
+                    f"message line exceeds {MAX_LINE_BYTES} bytes; "
+                    "closing the connection"
+                ),
+            }
+        )
+        return b""
+
+
 class ServeServer:
     """One serving process: TCP listener + admission control + job runner."""
 
@@ -224,7 +254,10 @@ class ServeServer:
             max(0, self.config.idle_segments)
         )
         self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+            self._handle_conn,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -278,10 +311,9 @@ class ServeServer:
         if task is not None:
             self._sessions.add(task)
         try:
-            try:
-                first = await reader.readline()
-            except (ConnectionError, OSError):
-                return
+            first = await _readline(
+                reader, functools.partial(self._safe_send, writer)
+            )
             if not first:
                 return
             if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
@@ -364,10 +396,7 @@ class ServeServer:
                 done = await self._dispatch(line, send, bucket, client_jobs)
                 if done:
                     break
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError):
-                    break
+                line = await _readline(reader, send)
             # Let this connection's in-flight jobs finish streaming
             # before the connection closes under them.
             while client_jobs["count"] > 0:
@@ -542,6 +571,7 @@ class ServeServer:
         self, job, use_cache: bool, send, tag, client_jobs: Dict[str, int]
     ) -> None:
         loop = asyncio.get_running_loop()
+        job_id = job.job_id
         keys = {cell.key() for cell in job.cells}
         queued = True  # jobs_queued was incremented at admission
         try:
@@ -555,7 +585,7 @@ class ServeServer:
                         tag(
                             {
                                 "event": "ack",
-                                "job_id": job.job_id,
+                                "job_id": job_id,
                                 "name": job.name,
                                 "total_cells": len(job.cells),
                                 "journaled_cells": job.completed_cells(),
@@ -592,13 +622,13 @@ class ServeServer:
                         )
                         if getter.done():
                             await self._send_cell(
-                                send, tag, job, getter.result()
+                                send, tag, job_id, getter.result()
                             )
                             continue
                         getter.cancel()
                         while not cell_queue.empty():
                             await self._send_cell(
-                                send, tag, job, cell_queue.get_nowait()
+                                send, tag, job_id, cell_queue.get_nowait()
                             )
                         break
                     report = await worker  # re-raises job failures
@@ -607,7 +637,7 @@ class ServeServer:
                         tag(
                             {
                                 "event": "done",
-                                "job_id": job.job_id,
+                                "job_id": job_id,
                                 "report": report_to_dict(report),
                             }
                         )
@@ -619,7 +649,7 @@ class ServeServer:
                             {
                                 "event": "error",
                                 "code": "job-failed",
-                                "job_id": job.job_id,
+                                "job_id": job_id,
                                 "error": f"{type(exc).__name__}: {exc}",
                             }
                         )
@@ -632,13 +662,15 @@ class ServeServer:
                 self.stats.jobs_queued -= 1
             client_jobs["count"] -= 1
 
-    async def _send_cell(self, send, tag, job, cell_result: CellResult):
+    async def _send_cell(
+        self, send, tag, job_id: str, cell_result: CellResult
+    ) -> None:
         self.stats.note_cell(cell_result)
         await send(
             tag(
                 {
                     "event": "cell",
-                    "job_id": job.job_id,
+                    "job_id": job_id,
                     "data": cell_result_to_dict(cell_result),
                 }
             )
@@ -679,7 +711,7 @@ async def run_stdio(config: Optional[ServeConfig] = None) -> int:
         max(0, server.config.idle_segments)
     )
     loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader()
+    reader = asyncio.StreamReader(limit=MAX_LINE_BYTES)
     await loop.connect_read_pipe(
         lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
     )
@@ -688,7 +720,9 @@ async def run_stdio(config: Optional[ServeConfig] = None) -> int:
     )
     writer = asyncio.StreamWriter(transport, proto, reader, loop)
     try:
-        first = await reader.readline()
+        first = await _readline(
+            reader, functools.partial(server._safe_send, writer)
+        )
         if first:
             await server._session(first, reader, writer)
     finally:

@@ -140,15 +140,27 @@ class SweepCell:
     seed: int = 1
 
     def key(self) -> str:
-        """Content hash identifying this cell in the persistent cache."""
-        return cell_key(
-            self.design,
-            self.benchmark,
-            self.config,
-            self.reads_per_core,
-            self.warmup_fraction,
-            self.seed,
-        )
+        """Content hash identifying this cell in the persistent cache.
+
+        Hashed once per instance: every field is frozen, and a job reads
+        each cell's key several times (journal, cache, in-flight claims,
+        its job id). The digest lives in the instance ``__dict__``, not in
+        a field, so ``==``, ``hash``, ``asdict`` and ``replace`` ignore it,
+        while ``copy`` and pickling (a cell shipped to a pool worker)
+        carry it along.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = cell_key(
+                self.design,
+                self.benchmark,
+                self.config,
+                self.reads_per_core,
+                self.warmup_fraction,
+                self.seed,
+            )
+            object.__setattr__(self, "_key", key)
+        return key
 
     def workload_params(self) -> WorkloadParams:
         """The content-keyed workload this cell consumes.
@@ -576,7 +588,8 @@ class CellResult:
     events_per_sec: float
     from_cache: bool
     #: Seconds this cell's executor spent materializing its workload
-    #: (generator run, ``.npz`` load, or shared-memory attach).
+    #: (generator run, ``.npz`` load, or shared-memory attach); 0.0 when
+    #: served from cache.
     trace_build_seconds: float = 0.0
     #: Where the workload came from: ``built`` (generators ran), ``memo``,
     #: ``npz``, ``shared`` (attached parent segment), ``shared-memo``
@@ -780,21 +793,21 @@ def _cell_result(
     """Assemble one CellResult from executor (or cached-run) telemetry.
 
     Telemetry is the run that produced ``result``; for a cell served from
-    the result cache or a journal, that run's seconds move to
-    ``cached_wall_seconds`` and this run's cost is zero.
+    the result cache, a journal or a duplicate cell of the same job, that
+    run's seconds move to ``cached_wall_seconds`` and this run's cost —
+    simulation and trace build alike — is zero.
     """
     wall = float(telemetry.get("wall_seconds", 0.0))
+    this_run = {} if from_cache else telemetry
     return CellResult(
         cell=cell,
         result=result,
-        wall_seconds=0.0 if from_cache else wall,
+        wall_seconds=float(this_run.get("wall_seconds", 0.0)),
         heap_events=int(telemetry.get("heap_events", result.heap_events)),
-        events_per_sec=(
-            0.0 if from_cache else float(telemetry.get("events_per_sec", 0.0))
-        ),
+        events_per_sec=float(this_run.get("events_per_sec", 0.0)),
         from_cache=from_cache,
-        trace_build_seconds=float(telemetry.get("trace_build_seconds", 0.0)),
-        trace_source=str(telemetry.get("trace_source", "")),
+        trace_build_seconds=float(this_run.get("trace_build_seconds", 0.0)),
+        trace_source=str(this_run.get("trace_source", "")),
         engine_used=str(telemetry.get("engine_used", "")),
         cached_wall_seconds=wall if from_cache else 0.0,
     )

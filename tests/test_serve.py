@@ -10,14 +10,17 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.jobs import create_job, submit_job
+from repro.jobs import create_job, manager, submit_job
 from repro.serve import (
     ServeClient,
     ServeConfig,
     ServeError,
     ServerThread,
     report_from_dict,
+    server as server_module,
 )
+from repro.serve.protocol import encode
+from repro.sim import parallel
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import ResultCache, make_cells, run_sweep
 from repro.workloads.arena import owned_segment_names, segment_pool_stats
@@ -30,6 +33,23 @@ def grid(benchmarks, reads=250, seed=1):
     return make_cells(
         DESIGNS, benchmarks, config=CONFIG, reads_per_core=reads, seed=seed
     )
+
+
+def big_grid():
+    """120 tiny cells: one submit line of ~81 KB, over asyncio's default
+    64 KiB reader limit."""
+    designs = ("no-cache", "alloy-map-i", "sram-tag", "lh-cache", "ideal-lo")
+    return [
+        cell
+        for seed in range(1, 13)
+        for cell in make_cells(
+            designs,
+            ("sphinx_r", "gcc_r"),
+            config=CONFIG,
+            reads_per_core=100,
+            seed=seed,
+        )
+    ]
 
 
 def results_by_grid(report):
@@ -75,6 +95,29 @@ class TestProtocolBasics:
                 event = client.recv()
                 assert event["code"] == "bad-request"
 
+    def test_over_limit_line_is_answered_then_closed(
+        self, tmp_path, monkeypatch
+    ):
+        """A line over the reader limit gets one bad-request naming the
+        limit and its connection closes; other connections keep serving.
+        Covers the first line of a connection and a later one."""
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 1024)
+        oversized = {"op": "ping", "pad": "x" * 4096}
+        with ServerThread(serve_config(tmp_path)) as server:
+            for greet_first in (False, True):
+                with ServeClient(port=server.port) as client:
+                    if greet_first:
+                        client.hello()
+                    client.send(oversized)
+                    event = client.recv()
+                    assert event["event"] == "error"
+                    assert event["code"] == "bad-request"
+                    assert "1024" in event["error"]
+                    with pytest.raises(ConnectionError):
+                        client.recv()
+            with ServeClient(port=server.port) as client:
+                assert client.ping()["event"] == "pong"
+
     def test_submit_rejects_empty_cells(self, tmp_path):
         with ServerThread(serve_config(tmp_path)) as server:
             with ServeClient(port=server.port) as client:
@@ -111,6 +154,49 @@ class TestSubmit:
         assert results_by_grid(first) == results_by_grid(second)
         assert stats["cells_from_cache"] == len(cells)
         assert stats["jobs_completed"] == 2
+
+    def test_grid_over_64_kib_submits_and_streams(self, tmp_path):
+        cells = big_grid()
+        line = encode(
+            {
+                "op": "submit",
+                "cells": [manager.cell_to_dict(c) for c in cells],
+                "use_cache": True,
+            }
+        )
+        assert len(line) > 64 * 1024
+        streamed = []
+        with ServerThread(serve_config(tmp_path)) as server:
+            with ServeClient(port=server.port) as client:
+                report = client.submit(cells, on_cell=streamed.append)
+        assert len(streamed) == len(report["cells"]) == len(cells) == 120
+
+    @pytest.mark.parametrize("name", ["", "nightly"])
+    def test_cached_job_hashes_each_key_once(
+        self, tmp_path, monkeypatch, name
+    ):
+        """A fully cached N-cell job computes N cell keys and one job id,
+        however many events it streams."""
+        cells = grid(("sphinx_r", "gcc_r", "mcf_r"))
+        calls = {"cell_key": 0, "job_id_for": 0}
+
+        def counting(module, attr):
+            real = getattr(module, attr)
+
+            def wrapper(*args):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        with ServerThread(serve_config(tmp_path)) as server:
+            with ServeClient(port=server.port) as client:
+                client.submit(cells, name=name)
+                counting(parallel, "cell_key")
+                counting(manager, "job_id_for")
+                report = report_from_dict(client.submit(cells, name=name))
+        assert report.cache_hits == len(cells) == 6
+        assert calls == {"cell_key": len(cells), "job_id_for": 1}
 
 
 class TestConcurrentClients:

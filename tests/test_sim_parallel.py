@@ -1,10 +1,14 @@
 """Tests for the parallel sweep executor and the persistent result cache."""
 
+import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 
+from repro.jobs.manager import cell_to_dict
+from repro.sim import parallel
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import (
     ResultCache,
@@ -165,6 +169,9 @@ class TestPersistentCache:
         assert dataclasses.asdict(report.cells[0].result) == dataclasses.asdict(
             report.cells[1].result
         )
+        duplicate = report.cells[1]
+        assert duplicate.trace_source == ""
+        assert duplicate.trace_build_seconds == 0.0
 
     def test_remember_populates_memory_tier_only(self, cache):
         """The public adoption API for worker-persisted results: visible
@@ -175,6 +182,83 @@ class TestPersistentCache:
         other.remember(cell.key(), result, {"wall_seconds": 1.5})
         assert other.get_entry(cell.key()) == (result, {"wall_seconds": 1.5})
         assert not (cache.directory / "elsewhere").exists()
+
+
+class TestCellKeyMemo:
+    """``SweepCell.key()`` hashes once per instance, invisibly to the
+    dataclass fields."""
+
+    @pytest.fixture
+    def cell_key_calls(self, monkeypatch):
+        calls = []
+        real = parallel.cell_key
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(parallel, "cell_key", counting)
+        return calls
+
+    @staticmethod
+    def fields_key(cell):
+        return cell_key(
+            cell.design,
+            cell.benchmark,
+            cell.config,
+            cell.reads_per_core,
+            cell.warmup_fraction,
+            cell.seed,
+        )
+
+    def test_key_equals_cell_key_of_fields(self, cell_key_calls):
+        from repro.perf.golden import golden_grid
+        from repro.sim.batch import BATCH_DESIGNS
+
+        cells = [
+            SweepCell(
+                c.design,
+                c.benchmark,
+                reads_per_core=c.reads_per_core,
+                warmup_fraction=c.warmup_fraction,
+                seed=c.seed,
+            )
+            for c in golden_grid()
+        ]
+        cells += make_cells(BATCH_DESIGNS, BENCHMARKS, config=tiny_config())
+        for cell in cells:
+            assert cell.key() == self.fields_key(cell) == cell.key()
+        assert len(cell_key_calls) == len(cells)
+
+    def test_pickle_and_copy_carry_the_key(self, cell_key_calls):
+        cell = tiny_cells()[0]
+        key = cell.key()
+        for clone in (
+            pickle.loads(pickle.dumps(cell)),
+            copy.copy(cell),
+            copy.deepcopy(cell),
+        ):
+            assert clone == cell
+            assert clone.key() == key
+        assert len(cell_key_calls) == 1
+
+    def test_replace_hashes_afresh(self, cell_key_calls):
+        cell = tiny_cells()[0]
+        cell.key()
+        other = dataclasses.replace(cell, seed=2)
+        assert other.key() == self.fields_key(other) != cell.key()
+        assert len(cell_key_calls) == 2
+
+    def test_key_leaves_fields_equality_and_hash_alone(self):
+        cell, twin = tiny_cells()[0], tiny_cells()[0]
+        before = (dataclasses.asdict(cell), cell_to_dict(cell), hash(cell))
+        cell.key()
+        assert (
+            dataclasses.asdict(cell),
+            cell_to_dict(cell),
+            hash(cell),
+        ) == before
+        assert cell == twin and hash(cell) == hash(twin)
 
 
 class TestResultSchema:
@@ -259,6 +343,8 @@ class TestTelemetry:
             assert served.from_cache
             assert served.wall_seconds == 0.0
             assert served.events_per_sec == 0.0
+            assert served.trace_source == ""
+            assert served.trace_build_seconds == 0.0
             assert served.cached_wall_seconds == ran.wall_seconds > 0
         assert again.simulated_seconds == 0.0
 
