@@ -848,7 +848,7 @@ def build_check_parser() -> argparse.ArgumentParser:
         prog="repro check",
         description=(
             "Differential correctness check: fuzz the batch engine's "
-            "device closures against the plain DramDevice (bit-identical "
+            "device template against the plain DramDevice (bit-identical "
             "results, timelines, and counters), run paired interpreter vs "
             "batch full-system simulations, and exercise the runtime "
             "invariant layer (see repro.verify)"

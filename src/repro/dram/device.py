@@ -33,9 +33,10 @@ This keeps the two properties the paper's analysis needs:
 This is the plain reference model: every reservation goes through
 :meth:`PriorityTimeline.reserve` and every statistic through
 ``Counter.add`` / :meth:`~repro.stats.Accumulator.sample`. The batch
-engine's device closures (:func:`repro.sim.batch._device_fns`) reproduce
-this arithmetic for speed, and ``repro check`` diffs them against this
-class (see :mod:`repro.verify`).
+engine's kernels reproduce this arithmetic for speed from one device
+template in :mod:`repro.sim.batch`, and ``repro check`` diffs that
+template, compiled into callables (:func:`repro.sim.batch.device_fns`),
+against this class (see :mod:`repro.verify`).
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class PriorityTimeline:
     """A reservable resource with demand/background priority classes.
 
     :meth:`DramDevice.access` reserves every bank and bus through
-    :meth:`reserve`. The batch engine's device closures mirror this
-    arithmetic expression for expression so their floats match bit for
+    :meth:`reserve`. The batch engine's device template mirrors this
+    arithmetic expression for expression so its floats match bit for
     bit; ``repro check`` drives both with identical streams and requires
     identical results.
     """

@@ -462,11 +462,15 @@ def compare(
     A cell *fails* when its (calibration-normalized) events/sec drops below
     ``(1 - tolerance)`` of the baseline. Cells faster than
     ``(1 + tolerance)x`` are flagged as improvements — a hint the committed
-    baseline is stale — but do not fail the gate. With ``min_speedup`` the
-    gate inverts into a *floor*: every shared cell must run at least that
-    many times faster than the host-scaled baseline (how CI proves the
-    batch engine beats the committed interpreter numbers). Returns a
-    summary dict that callers can embed into the emitted payload.
+    baseline is stale — but do not fail the gate. The tolerance band only
+    compares a cell with a baseline cell the same engine produced
+    (``engine_used``): the others are listed under ``other_engine`` and not
+    gated, so an interpreter run is never judged against batch numbers.
+    With ``min_speedup`` the gate inverts into a *floor*: every shared cell
+    must run at least that many times faster than the host-scaled baseline,
+    whichever engine produced it (how CI proves the batch engine beats the
+    committed interpreter numbers). Returns a summary dict that callers can
+    embed into the emitted payload.
     """
     cur_cal = float(current.get("calibration_ops_per_sec") or 0.0)
     base_cal = float(baseline.get("calibration_ops_per_sec") or 0.0)
@@ -476,12 +480,20 @@ def compare(
     cells = {}
     regressions = []
     improvements = []
+    other_engine = []
     shared = sorted(
         set(current.get("cells", {})) & set(baseline.get("cells", {}))
     )
     for cell_id in shared:
-        cur_eps = float(current["cells"][cell_id]["events_per_sec"])
-        base_eps = float(baseline["cells"][cell_id]["events_per_sec"])
+        cur_cell = current["cells"][cell_id]
+        base_cell = baseline["cells"][cell_id]
+        if min_speedup <= 0 and cur_cell.get("engine_used", "") != base_cell.get(
+            "engine_used", ""
+        ):
+            other_engine.append(cell_id)
+            continue
+        cur_eps = float(cur_cell["events_per_sec"])
+        base_eps = float(base_cell["events_per_sec"])
         # Scale the baseline to the current host's calibrated speed.
         expected = base_eps * host_scale
         ratio = cur_eps / expected if expected > 0 else 0.0
@@ -506,10 +518,11 @@ def compare(
         "cells": cells,
         "regressions": regressions,
         "improvements": improvements,
+        "other_engine": other_engine,
         "verdict": (
             "fail"
             if regressions
-            else ("empty" if not shared else "pass")
+            else ("empty" if not cells else "pass")
         ),
     }
 
@@ -543,6 +556,8 @@ def render_comparison(comparison: Dict) -> str:
             f"{row['current_events_per_sec']:>10.0f} ev/s "
             f"({row['speedup']:.2f}x)  {mark}"
         )
+    for cell_id in comparison.get("other_engine", ()):
+        lines.append(f"  {cell_id:<44} not gated: baseline from another engine")
     if comparison["verdict"] == "empty":
-        lines.append("  (no shared cells between run and baseline)")
+        lines.append("  (no shared cells of this engine between run and baseline)")
     return "\n".join(lines)

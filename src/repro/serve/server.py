@@ -228,6 +228,25 @@ async def _readline(reader: asyncio.StreamReader, send) -> bytes:
         return b""
 
 
+async def _http_reply(writer, status: str, body: str, head: bool) -> None:
+    """One HTTP/1.0 response; a client already gone is not an error."""
+    payload = body.encode("utf-8")
+    writer.write(
+        (
+            f"HTTP/1.0 {status}\r\n"
+            "Content-Type: text/plain; version=0.0.4\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode("latin-1")
+    )
+    if not head:
+        writer.write(payload)
+    try:
+        await writer.drain()
+    except (ConnectionError, OSError):
+        pass
+
+
 class ServeServer:
     """One serving process: TCP listener + admission control + job runner."""
 
@@ -348,31 +367,35 @@ class ServeServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Minimal HTTP/1.0 responder for ``GET /metrics`` (and friends),
-        sharing the NDJSON port — the first line tells them apart."""
+        sharing the NDJSON port — the first line tells them apart.
+
+        Header lines are read under the NDJSON reader's limit: a line over
+        ``MAX_LINE_BYTES`` is answered ``431`` and the connection closed; a
+        client that drops mid-headers ends its connection quietly."""
+        head = first.startswith(b"HEAD")
         while True:  # drain request headers
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except (ConnectionError, OSError):
+                return
+            except ValueError:  # readline's form of LimitOverrunError
+                await _http_reply(
+                    writer,
+                    "431 Request Header Fields Too Large",
+                    f"header line exceeds {MAX_LINE_BYTES} bytes\n",
+                    head,
+                )
+                return
             if not line or line in (b"\r\n", b"\n"):
                 break
         parts = first.decode("latin-1").split()
         path = parts[1] if len(parts) > 1 else "/"
         if path in ("/metrics", "/", "/stats"):
-            body = render_metrics(self.stats.snapshot())
-            status = "200 OK"
+            await _http_reply(
+                writer, "200 OK", render_metrics(self.stats.snapshot()), head
+            )
         else:
-            body = "not found\n"
-            status = "404 Not Found"
-        payload = body.encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.0 {status}\r\n"
-                "Content-Type: text/plain; version=0.0.4\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-        )
-        if not first.startswith(b"HEAD"):
-            writer.write(payload)
-        await writer.drain()
+            await _http_reply(writer, "404 Not Found", "not found\n", head)
 
     async def _session(
         self,

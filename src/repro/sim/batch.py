@@ -1,4 +1,4 @@
-"""Batch simulation engine: vectorized precompute + a compact scalar core.
+"""Batch simulation engine: vectorized precompute + generated scalar kernels.
 
 The interpreter in :mod:`repro.sim.system` walks one heap event at a time
 through layers of design/device method calls. This engine restructures that
@@ -8,21 +8,33 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   timeline is computed for the whole trace up front — address decode for
   off-chip memory, set-index/stacked-row decode per design, TAD burst
   lengths, and MAP-I predictor table indices.
-* **Compact scalar core**: the serial part (bank/bus timeline reservations,
+* **Generated kernels**: the serial part (bank/bus timeline reservations,
   replacement state, predictor training) runs in one flat event loop over
-  integer-coded heap tuples, with the per-access device reservation
-  (:func:`_device_fns`) written expression for expression like
-  :meth:`repro.dram.device.DramDevice.access` — ``repro check`` diffs the
-  two on randomized streams.
+  integer-coded heap tuples. Each loop is generated from source templates
+  the first time a process meets its configuration, then cached for the
+  process (:func:`_kernel`). One skeleton — the core-event prologue with
+  the MLP in-flight lists, the heap dispatch, the sample buffers and the
+  counter flush — takes per-family read, write, fill and background
+  bodies. Every configuration flag (:func:`_flags`) is resolved while
+  generating, so a loop has no branch on any of them, and no loop makes a
+  Python-level function call per trace record.
+* **One device template**: the DRAM reservation arithmetic exists once, as
+  the ``demand`` and ``background`` templates below, written expression for
+  expression like :meth:`repro.dram.device.DramDevice.access` and expanded
+  inline at every reservation site. ``repro check`` compiles the same
+  templates into plain callables (:func:`device_fns`) and diffs them
+  against the device on randomized streams.
 * **Deferred statistics**: latency samples are appended to typed
   ``array('d')`` buffers in event order and folded into the
   accumulators/histograms once at the end, over zero-copy numpy views.
   ``np.add.accumulate`` is a strict left fold in sample order, so float
   sums match the interpreter's per-sample ``total += v`` bit-for-bit.
-* **Array warmup**: for the direct-mapped designs (IDEAL-LO and the
-  1-way, non-victim Alloy) the post-warmup tags, dirty bits and store
-  counters are computed with numpy instead of a per-record ``design.warm``
-  replay (:func:`_warm_arrays`), and MAP-I/MAP-G train in one flat loop.
+* **Warmup without design.warm**: the direct-mapped designs (IDEAL-LO and
+  the 1-way, non-victim Alloy) warm with numpy (:func:`_warm_arrays`); the
+  set-associative ones (SRAM-Tag, LH-Cache, multi-way Alloy) and the
+  victim Alloy warm in a generated flat loop built from the kernels' own
+  lookup, fill and replacement bodies (:func:`_warm_loop`). Only the
+  interpreter replays ``design.warm``.
 * **Lean cores**: no per-record :class:`~repro.sim.core_model.Core`
   cursors; a run keeps one :class:`CoreOutcome` per core.
 
@@ -37,21 +49,21 @@ Engine selection lives in :meth:`repro.sim.system.System.run`; this module's
 envelope (verify runs, unknown design or policy types), and the caller
 falls back to the interpreter. The envelope covers every design family —
 including multi-way Alloy, the victim-buffer variant and MLP cores
-(``mshrs_per_core > 1``, handled by a shared per-core in-flight list in
-each kernel's core-event prologue).
+(``mshrs_per_core > 1``).
 """
 
 from __future__ import annotations
 
-from array import array
-from heapq import heappop, heappush
+import linecache
+import re
+from functools import partial
 from itertools import repeat
-from typing import List, NamedTuple, Optional
+from string import Template
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.cache.direct_mapped import DirectMappedCache
-from repro.cache.missmap import LINES_PER_SEGMENT as _MM_LINES_PER_SEGMENT
 from repro.cache.missmap import MissMap
 from repro.cache.replacement import DIPPolicy, LRUPolicy, RandomPolicy
 from repro.core.predictors import (
@@ -62,19 +74,25 @@ from repro.core.predictors import (
     PerfectPredictor,
     SamPredictor,
 )
-from repro.dramcache.alloy import AlloyCacheDesign, _SCENARIO_KEYS
-from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES, AlloyVictimDesign
-from repro.dramcache.base import (
-    ATTRIBUTION_EPSILON,
-    LATENCY_BUCKETS,
-    DramCacheDesign,
-)
+from repro.dramcache.alloy import AlloyCacheDesign
+from repro.dramcache.alloy_victim import AlloyVictimDesign
+from repro.dramcache.base import LATENCY_BUCKETS, DramCacheDesign
 from repro.dramcache.ideal_lo import IdealLODesign
-from repro.dramcache.lh_cache import LHCacheDesign, TAG_CHECK_CYCLES
+from repro.dramcache.lh_cache import LHCacheDesign
 from repro.dramcache.no_cache import NoCacheDesign
 from repro.dramcache.sram_tag import SramTagDesign
 from repro.lifecycle import STAGES
 from repro.units import LINE_SIZE
+
+# Names only the generated code uses: it runs in this module's globals.
+from array import array  # noqa: F401
+from heapq import heappop, heappush  # noqa: F401
+from repro.cache.missmap import LINES_PER_SEGMENT  # noqa: F401
+from repro.core.predictors import MAC_MSB_THRESHOLD  # noqa: F401
+from repro.dramcache.alloy import _SCENARIO_KEYS  # noqa: F401
+from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES  # noqa: F401
+from repro.dramcache.base import ATTRIBUTION_EPSILON  # noqa: F401
+from repro.dramcache.lh_cache import TAG_CHECK_CYCLES  # noqa: F401
 
 #: Every factory design the engine has a kernel for (all but the L3-filter
 #: design ``perfect-l3``). ``repro check`` rotates its system seeds through
@@ -102,19 +120,27 @@ BATCH_DESIGNS = (
     "alloy-victim64",
 )
 
-#: Replacement policies whose lookup-path side effects the kernels inline.
-_POLICIES = (DIPPolicy, LRUPolicy, RandomPolicy)
+#: Replacement policies the templates inline, by their flag value.
+_POLICIES = {DIPPolicy: "dip", LRUPolicy: "lru", RandomPolicy: "random"}
 
-#: MAP-family predictor types with an inlined predict/train path.
-_MAP_TYPES = (MapIPredictor, MapGPredictor, SamPredictor, PamPredictor)
+#: Alloy predictor types the templates inline, by their flag value.
+_PREDICTORS = {
+    type(None): "none",
+    MissMap: "missmap",
+    PerfectPredictor: "perfect",
+    MapIPredictor: "map-i",
+    MapGPredictor: "map-g",
+    SamPredictor: "sam",
+    PamPredictor: "pam",
+}
 
-# Heap event kinds (tuple layout: (when, seq, kind, a, b)).
-_EV_CORE = 0  # a = core index
-_EV_MEMWRITE = 1  # a = line address (posted off-chip writeback)
-_EV_FILL = 2  # a = flat record index
-_EV_STACKWRITE = 3  # a = flat record index (background stacked line write)
-_EV_WTRAFFIC = 4  # a = flat record index, b = hit (Alloy write traffic)
-_EV_WHT = 5  # a = flat record index (LH write-hit traffic)
+# Heap event kinds (tuple layout: (when, seq, kind, a, b)):
+#   0 core event            a = core index
+#   1 off-chip write        a = line address (posted writeback)
+#   2 fill                  a = flat record index
+#   3 stacked line write    a = flat record index (background)
+#   4 Alloy write traffic   a = flat record index, b = hit
+#   5 LH write-hit traffic  a = flat record index
 
 
 # ----------------------------------------------------------------------
@@ -126,12 +152,14 @@ def run(system) -> Optional["object"]:
     the interpreter). All eligibility checks happen before any mutation."""
     if system.checker is not None:
         return None
-    kernel = _select_kernel(system.design)
-    if kernel is None:
+    runner = _select_kernel(system.design)
+    if runner is None:
         return None
-
-    starts = system._warm(_warm_arrays)
-    kernel(system, starts)
+    # Dirty lines the victim warmup pushes out of the buffer: the kernel
+    # writes them back first, as the interpreter's heap would.
+    overflow: List[int] = []
+    starts = system._warm(partial(_warm_batch, overflow=overflow))
+    runner(system, starts, overflow)
     system.engine_used = "batch"
     return system._collect()
 
@@ -158,10 +186,48 @@ def _select_kernel(design):
             return None
         if kind is AlloyVictimDesign and type(design.victims.policy) is not LRUPolicy:
             return None
-        if design._pred_kind == 3 and type(design.predictor) not in _MAP_TYPES:
+        if type(design.predictor) not in _PREDICTORS:
             return None
         return _run_alloy
     return None
+
+
+# One entry point per kernel family (profilers time them by name); each
+# runs the loop generated for the system's configuration.
+def _run_no_cache(system, starts, overflow=()):
+    _kernel("no_cache", system)(system, starts, overflow)
+
+
+def _run_ideal_lo(system, starts, overflow=()):
+    _kernel("ideal_lo", system)(system, starts, overflow)
+
+
+def _run_sram(system, starts, overflow=()):
+    _kernel("sram", system)(system, starts, overflow)
+
+
+def _run_lh(system, starts, overflow=()):
+    _kernel("lh", system)(system, starts, overflow)
+
+
+def _run_alloy(system, starts, overflow=()):
+    _kernel("alloy", system)(system, starts, overflow)
+
+
+def _warm_batch(system, starts, overflow) -> bool:
+    """:meth:`System._warm`'s hook on the batch path: bring the design to
+    its post-warmup state without ``design.warm``. Direct-mapped designs
+    warm with numpy, set-associative and victim designs in a generated
+    flat loop, which appends the victim buffer's dirty overflow to
+    ``overflow``. Returns False (the caller replays ``design.warm``) only
+    for a design neither covers."""
+    if _warm_arrays(system, starts):
+        return True
+    warm = _warm_loop(system.design)
+    if warm is None:
+        return False
+    warm(system, starts, overflow)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -254,25 +320,20 @@ def _row_decode(row_np, device):
 
 def _device_consts(dev):
     """Per-access constants of ``dev``, taken from its timings and its
-    block-cap/watermark policy methods (ints, then the float copies the
-    access results carry)."""
+    block-cap/watermark policy methods: ACT, precharge + ACT and CAS
+    cycles, a full line's bus bytes, the line burst (also the bus block
+    cap), the bank block cap, the bank watermark and the bus watermark."""
     timings = dev.timings
-    t_act = timings.t_act
-    act_conflict = timings.t_rp + t_act
     line_burst = timings.line_burst
     return (
-        t_act,
-        act_conflict,
+        timings.t_act,
+        timings.t_rp + timings.t_act,
         timings.t_cas,
-        float(timings.t_cas),
+        int(line_burst * LINE_SIZE / line_burst),
         line_burst,
         dev._block_cap(),
         dev._watermark(),
         dev._bus_watermark(),
-        int(line_burst * LINE_SIZE / line_burst),
-        float(t_act),
-        float(act_conflict),
-        float(line_burst),
     )
 
 
@@ -288,161 +349,6 @@ def _flush_device(dev, n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes):
     _flush(stats, "background_accesses", n_bg)
     _flush(stats, "bus_cycles", n_bus)
     _flush(stats, "bytes_on_bus", n_bytes)
-
-
-def _device_fns(dev):
-    """Build ``(demand, background, flush, state)`` access closures over one
-    device.
-
-    Each closure is the arithmetic of :meth:`DramDevice.access` written
-    expression for expression (bit-identical floats), skipping the
-    accumulator sampling (not observable in :class:`SimResult`). ``demand``
-    returns ``(done, row_hit, queue_cycles, service_cycles)`` pre-combined
-    the way :meth:`LatencyBreakdown.attribute_device` folds them;
-    ``background`` returns ``done`` alone.
-
-    Bank/bus reservation horizons and the integer counter tallies live in
-    closure-local lists and cells while the kernel runs (index/deref ops
-    instead of attribute ops on the hot path); ``flush`` writes them back
-    to the device so post-run consumers (stats, energy) see the usual
-    state. Kernels must call ``flush`` after the event loop drains.
-    """
-    (
-        t_act,
-        act_conflict,
-        t_cas,
-        cas_f,
-        line_burst,
-        block_cap,
-        watermark,
-        bus_watermark,
-        full_line_bytes,
-        t_act_f,
-        act_conflict_f,
-        line_burst_f,
-    ) = _device_consts(dev)
-    banks = dev._banks
-    buses = dev._buses
-    open_rows = dev._open_row
-    open_policy = dev.page_policy == "open"
-    bank_df = [b.demand_free for b in banks]
-    bank_af = [b.all_free for b in banks]
-    bus_df = [b.demand_free for b in buses]
-    bus_af = [b.all_free for b in buses]
-    n_acc = n_rh = n_act = n_rd = n_wr = n_bg = n_bus = n_bytes = 0
-
-    def demand(now, bank_idx, channel, row, burst_cycles, is_write):
-        nonlocal n_acc, n_rh, n_act, n_rd, n_wr, n_bus, n_bytes
-        open_row = open_rows[bank_idx]
-        row_hit = open_row == row
-        if row_hit:
-            act_cycles = 0
-            act_f = 0.0
-        elif open_row is None:
-            act_cycles = t_act
-            act_f = t_act_f
-        else:
-            act_cycles = act_conflict
-            act_f = act_conflict_f
-        core_latency = act_cycles + t_cas
-        bank_service = core_latency + burst_cycles
-        free = bank_df[bank_idx]
-        start = now if now >= free else free
-        backlog = bank_af[bank_idx] - start
-        if backlog > 0:
-            blocked = backlog if backlog <= block_cap else block_cap
-            drain = backlog - watermark
-            start += blocked + (drain if drain > 0.0 else 0.0)
-        bank_df[bank_idx] = start + bank_service
-        free = bank_af[bank_idx]
-        bank_af[bank_idx] = (free if free >= start else start) + bank_service
-        data_ready = start + core_latency
-        free = bus_df[channel]
-        bus_start = data_ready if data_ready >= free else free
-        backlog = bus_af[channel] - bus_start
-        if backlog > 0:
-            blocked = backlog if backlog <= line_burst else line_burst
-            drain = backlog - bus_watermark
-            bus_start += blocked + (drain if drain > 0.0 else 0.0)
-        bus_df[channel] = bus_start + burst_cycles
-        free = bus_af[channel]
-        bus_af[channel] = (free if free >= bus_start else bus_start) + burst_cycles
-        done = bus_start + burst_cycles
-        open_rows[bank_idx] = row if open_policy else None
-        n_acc += 1
-        if row_hit:
-            n_rh += 1
-        else:
-            n_act += 1
-        if is_write:
-            n_wr += 1
-        else:
-            n_rd += 1
-        n_bus += burst_cycles
-        if burst_cycles == line_burst:
-            n_bytes += full_line_bytes
-            burst_f = line_burst_f
-        else:
-            n_bytes += int(burst_cycles * LINE_SIZE / line_burst)
-            burst_f = float(burst_cycles)
-        return (
-            done,
-            row_hit,
-            (start - now) + (bus_start - data_ready),
-            (act_f + cas_f) + burst_f,
-        )
-
-    def background(now, bank_idx, channel, row, burst_cycles, is_write):
-        nonlocal n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes
-        open_row = open_rows[bank_idx]
-        row_hit = open_row == row
-        if row_hit:
-            act_cycles = 0
-        elif open_row is None:
-            act_cycles = t_act
-        else:
-            act_cycles = act_conflict
-        bank_service = act_cycles + t_cas + burst_cycles
-        free = bank_af[bank_idx]
-        start = now if now >= free else free
-        bank_af[bank_idx] = start + bank_service
-        data_ready = start + act_cycles + t_cas
-        free = bus_af[channel]
-        bus_start = data_ready if data_ready >= free else free
-        bus_af[channel] = bus_start + burst_cycles
-        done = bus_start + burst_cycles
-        open_rows[bank_idx] = row if open_policy else None
-        n_acc += 1
-        if row_hit:
-            n_rh += 1
-        else:
-            n_act += 1
-        if is_write:
-            n_wr += 1
-        else:
-            n_rd += 1
-        n_bg += 1
-        n_bus += burst_cycles
-        if burst_cycles == line_burst:
-            n_bytes += full_line_bytes
-        else:
-            n_bytes += int(burst_cycles * LINE_SIZE / line_burst)
-        return done
-
-    def flush():
-        for i, b in enumerate(banks):
-            b.demand_free = bank_df[i]
-            b.all_free = bank_af[i]
-        for i, b in enumerate(buses):
-            b.demand_free = bus_df[i]
-            b.all_free = bus_af[i]
-        _flush_device(dev, n_acc, n_rh, n_act, n_rd, n_wr, n_bg, n_bus, n_bytes)
-
-    # The timeline lists, shared with the closures: kernels that inline
-    # whole access sequences (the LH compound-access paths) operate on
-    # these directly and flush their own counter tallies to the device.
-    state = (bank_df, bank_af, bus_df, bus_af)
-    return demand, background, flush, state
 
 
 def _fold_acc(acc, values):
@@ -558,10 +464,10 @@ _WARM_PREDICTORS = (
 
 def _warm_arrays(system, starts) -> bool:
     """:meth:`System._warm`'s hook on the batch path: bring
-    ``system.design`` to its post-warmup state without the per-record
-    ``design.warm`` replay. Returns False, having touched nothing, for the
-    designs that keep that replay: the set-associative ones (SRAM-tag,
-    LH-Cache, multi-way Alloy) and the victim-buffer Alloy.
+    ``system.design`` to its post-warmup state with numpy. Returns False,
+    having touched nothing, for the designs it does not cover: the
+    set-associative ones (SRAM-tag, LH-Cache, multi-way Alloy) and the
+    victim-buffer Alloy, which warm in a generated loop (:func:`_warm_loop`).
 
     Replay order is core 0's warmup slice, then core 1's, and so on.
     IDEAL-LO and the 1-way Alloy warm a direct-mapped store
@@ -680,10 +586,8 @@ def _warm_direct_mapped(store, addr, write, missmap=None):
         dirty_bits[i] = d
     if missmap is not None:
         changed = final_tag != tag0
-        for old, new in zip(tag0[changed].tolist(), final_tag[changed].tolist()):
-            missmap.insert(new)
-            if old != -1:
-                missmap.remove(old)
+        swap = _cached(_MISSMAP_SWAP, "missmap_swap", {"family": "missmap"})
+        swap(missmap, tag0[changed].tolist(), final_tag[changed].tolist())
 
     tallies = []
     for rank, (name, mask) in enumerate(
@@ -706,1327 +610,6 @@ def _warm_direct_mapped(store, addr, write, missmap=None):
     return in_order
 
 
-# ----------------------------------------------------------------------
-# no-cache kernel
-# ----------------------------------------------------------------------
-def _run_no_cache(system, starts):
-    design = system.design
-    memory = system.memory
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
-    mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
-    l3 = system._l3_latency
-    wic = system._write_issue_cycles
-    num_cores = len(base) - 1
-    ends = base[1:]
-    cur = list(base[:-1])
-    mshrs = system._mshrs
-    mlp = mshrs > 1
-    outst = [[] for _ in range(num_cores)] if mlp else None
-    finish = [0.0] * num_cores
-    last_read = [0.0] * num_cores
-    # Every read misses: misslat is readlat, and the predictor/tag/DRAM$
-    # stages are identically zero (np.zeros columns after the loop).
-    readlat = array("d")
-    stq, stm = array("d"), array("d")
-    unat = array("d")
-    ra = readlat.append
-    qa, mma = stq.append, stm.append
-    ua = unat.append
-    eps = ATTRIBUTION_EPSILON
-    heap = []
-    push = heappush
-    pop = heappop
-    seq = 0
-    for ci in range(num_cores):
-        if cur[ci] < ends[ci]:
-            gap = G[cur[ci]]
-            push(heap, (gap if gap >= 0.0 else 0.0, seq, _EV_CORE, ci, 0))
-            seq += 1
-    events = 0
-    now = 0.0
-    n_mr = n_mw = n_wm = 0
-    while heap:
-        now, _, kind, a, b = pop(heap)
-        events += 1
-        if kind == 0:
-            ci = a
-            if mlp:
-                # MLP prologue (interpreter's _handle_core): retire finished
-                # reads, stall on a full MSHR file or a dependent read whose
-                # producer is still in flight. Each stall is a reschedule —
-                # a separate heap pop, like the interpreter's.
-                out = outst[ci]
-                if out:
-                    out = [t for t in out if t > now]
-                    outst[ci] = out
-                    if len(out) >= mshrs:
-                        push(heap, (min(out), seq, _EV_CORE, ci, 0))
-                        seq += 1
-                        continue
-                if D[cur[ci]] and last_read[ci] > now:
-                    push(heap, (last_read[ci], seq, _EV_CORE, ci, 0))
-                    seq += 1
-                    continue
-            g = cur[ci]
-            if W[g]:
-                n_wm += 1
-                push(heap, (now, seq, _EV_MEMWRITE, A[g], 0))
-                seq += 1
-                anchor = completed = now + wic
-            else:
-                arrival = now + l3
-                n_mr += 1
-                done, _, q, serv = mdemand(arrival, mb[g], mc[g], mr[g], mlb, False)
-                lat = done - arrival
-                ra(lat)
-                qa(q)
-                mma(serv)
-                gap = lat - (q + serv)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
-                completed = done if done >= arrival else arrival
-                if mlp:
-                    # Compute overlaps the outstanding miss: the next record
-                    # issues relative to now, not the read's completion.
-                    outst[ci].append(completed)
-                    anchor = now
-                else:
-                    anchor = completed
-                if completed > last_read[ci]:
-                    last_read[ci] = completed
-            if completed > finish[ci]:
-                finish[ci] = completed
-            g += 1
-            cur[ci] = g
-            if g < ends[ci]:
-                nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0))
-                seq += 1
-        else:  # _EV_MEMWRITE
-            n_mw += 1
-            chunk = a // m_lpr
-            ch = chunk % m_ch
-            per = chunk // m_ch
-            mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
-    stats = design.stats
-    mflush()
-    _flush(stats, "write_misses", n_wm)
-    _flush(stats, "memory_reads", n_mr)
-    _flush(stats, "memory_writes", n_mw)
-    zeros = np.zeros(len(readlat))
-    _writeback_reads(
-        design, readlat, (), readlat, (stq, zeros, zeros, zeros, stm), unat
-    )
-    _finish_cores(system, finish, last_read, nr, nw)
-    system.events_processed += events
-    system.now = now
-
-
-# ----------------------------------------------------------------------
-# ideal-lo kernel
-# ----------------------------------------------------------------------
-def _run_ideal_lo(system, starts):
-    design = system.design
-    memory = system.memory
-    stacked = system.stacked
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    sdemand, sbg, sflush, _ = _device_fns(stacked)
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
-    mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    store = design.cache
-    si_np = a_np % store.num_sets
-    SI = si_np.tolist()
-    sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
-    slb = stacked.timings.line_burst
-    tags = store._tags
-    dirty = store._dirty
-    l3 = system._l3_latency
-    wic = system._write_issue_cycles
-    num_cores = len(base) - 1
-    ends = base[1:]
-    cur = list(base[:-1])
-    mshrs = system._mshrs
-    mlp = mshrs > 1
-    outst = [[] for _ in range(num_cores)] if mlp else None
-    finish = [0.0] * num_cores
-    last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = array("d"), array("d"), array("d")
-    # Predictor/tag stages are identically zero for this design: they are
-    # np.zeros columns after the loop instead of appended per read.
-    stq, std, stm = array("d"), array("d"), array("d")
-    unat = array("d")
-    ra, ha, ma = readlat.append, hitlat.append, misslat.append
-    qa, da, mma = stq.append, std.append, stm.append
-    ua = unat.append
-    eps = ATTRIBUTION_EPSILON
-    heap = []
-    push = heappush
-    pop = heappop
-    seq = 0
-    for ci in range(num_cores):
-        if cur[ci] < ends[ci]:
-            gap = G[cur[ci]]
-            push(heap, (gap if gap >= 0.0 else 0.0, seq, _EV_CORE, ci, 0))
-            seq += 1
-    events = 0
-    now = 0.0
-    dm_h = dm_m = dm_f = n_evict = n_devict = 0
-    n_mr = n_mw = n_wh = n_wm = n_drh = n_fills = 0
-    while heap:
-        now, _, kind, a, b = pop(heap)
-        events += 1
-        if kind == 0:
-            ci = a
-            if mlp:
-                # MLP prologue (interpreter's _handle_core): retire finished
-                # reads, stall on a full MSHR file or a dependent read whose
-                # producer is still in flight. Each stall is a reschedule —
-                # a separate heap pop, like the interpreter's.
-                out = outst[ci]
-                if out:
-                    out = [t for t in out if t > now]
-                    outst[ci] = out
-                    if len(out) >= mshrs:
-                        push(heap, (min(out), seq, _EV_CORE, ci, 0))
-                        seq += 1
-                        continue
-                if D[cur[ci]] and last_read[ci] > now:
-                    push(heap, (last_read[ci], seq, _EV_CORE, ci, 0))
-                    seq += 1
-                    continue
-            g = cur[ci]
-            addr = A[g]
-            i = SI[g]
-            if W[g]:
-                if tags[i] == addr:
-                    dirty[i] = True
-                    dm_h += 1
-                    n_wh += 1
-                    push(heap, (now, seq, _EV_STACKWRITE, g, 0))
-                else:
-                    dm_m += 1
-                    n_wm += 1
-                    push(heap, (now, seq, _EV_MEMWRITE, addr, 0))
-                seq += 1
-                anchor = completed = now + wic
-            else:
-                arrival = now + l3
-                if tags[i] == addr:
-                    dm_h += 1
-                    done, row_hit, q, serv = sdemand(
-                        arrival, sb[g], sc[g], sr[g], slb, False
-                    )
-                    if row_hit:
-                        n_drh += 1
-                    lat = done - arrival
-                    ha(lat)
-                    qa(q)
-                    da(serv)
-                    mma(0.0)
-                else:
-                    dm_m += 1
-                    n_mr += 1
-                    done, _, q, serv = mdemand(
-                        arrival, mb[g], mc[g], mr[g], mlb, False
-                    )
-                    push(heap, (done if done >= now else now, seq, _EV_FILL, g, 0))
-                    seq += 1
-                    lat = done - arrival
-                    ma(lat)
-                    qa(q)
-                    da(0.0)
-                    mma(serv)
-                ra(lat)
-                gap = lat - (q + serv)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
-                completed = done if done >= arrival else arrival
-                if mlp:
-                    # Compute overlaps the outstanding miss: the next record
-                    # issues relative to now, not the read's completion.
-                    outst[ci].append(completed)
-                    anchor = now
-                else:
-                    anchor = completed
-                if completed > last_read[ci]:
-                    last_read[ci] = completed
-            if completed > finish[ci]:
-                finish[ci] = completed
-            g += 1
-            cur[ci] = g
-            if g < ends[ci]:
-                nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0))
-                seq += 1
-        elif kind == 1:  # _EV_MEMWRITE
-            n_mw += 1
-            chunk = a // m_lpr
-            ch = chunk % m_ch
-            per = chunk // m_ch
-            mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
-        elif kind == 2:  # _EV_FILL (DirectMappedCache.fill inlined)
-            addr_f = A[a]
-            i = SI[a]
-            old = tags[i]
-            t = now
-            if old != addr_f:
-                if old != -1:
-                    n_evict += 1
-                    if dirty[i]:
-                        n_devict += 1
-                        vdone = sbg(t, sb[a], sc[a], sr[a], slb, False)
-                        push(heap, (vdone if vdone >= now else now, seq,
-                                    _EV_MEMWRITE, old, 0))
-                        seq += 1
-                        t = vdone
-                tags[i] = addr_f
-                dirty[i] = False
-                dm_f += 1
-            sbg(t, sb[a], sc[a], sr[a], slb, True)
-            n_fills += 1
-        else:  # _EV_STACKWRITE
-            sbg(now, sb[a], sc[a], sr[a], slb, True)
-    stats = design.stats
-    mflush()
-    sflush()
-    _flush(stats, "row_hits", n_drh)
-    _flush(stats, "write_hits", n_wh)
-    _flush(stats, "write_misses", n_wm)
-    _flush(stats, "memory_reads", n_mr)
-    _flush(stats, "memory_writes", n_mw)
-    _flush(stats, "fills", n_fills)
-    _flush(store.stats, "hits", dm_h)
-    _flush(store.stats, "misses", dm_m)
-    _flush(store.stats, "fills", dm_f)
-    _flush(store.stats, "evictions", n_evict)
-    _flush(store.stats, "dirty_evictions", n_devict)
-    zeros = np.zeros(len(readlat))
-    _writeback_reads(
-        design, readlat, hitlat, misslat, (stq, zeros, zeros, std, stm), unat
-    )
-    _finish_cores(system, finish, last_read, nr, nw)
-    system.events_processed += events
-    system.now = now
-
-
-# ----------------------------------------------------------------------
-# sram-tag kernel
-# ----------------------------------------------------------------------
-def _run_sram(system, starts):
-    design = system.design
-    memory = system.memory
-    stacked = system.stacked
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    sdemand, sbg, sflush, s_state = _device_fns(stacked)
-    s_bdf, s_baf, s_udf, s_uaf = s_state
-    (
-        s_tact,
-        s_tconf,
-        s_tcas,
-        s_casf,
-        s_lburst,
-        s_blockcap,
-        s_wmark,
-        s_buswmark,
-        s_flb,
-        s_tactf,
-        s_tconff,
-        s_lburstf,
-    ) = _device_consts(stacked)
-    s_open = stacked._open_row
-    s_openpol = stacked.page_policy == "open"
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
-    mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    tags_cache = design.tags
-    si_np = a_np % tags_cache.num_sets
-    SI = si_np.tolist()
-    sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
-    slb = stacked.timings.line_burst
-    # Stacked accesses are all one full line; the open-row outcome picks
-    # one of three precomputed latency bundles (see _run_lh).
-    core_rh = s_tcas
-    core_act = s_tact + s_tcas
-    core_conf = s_tconf + s_tcas
-    bs_rh = core_rh + slb
-    bs_act = core_act + slb
-    bs_conf = core_conf + slb
-    serv_rh = (0.0 + s_casf) + s_lburstf
-    serv_act = (s_tactf + s_casf) + s_lburstf
-    serv_conf = (s_tconff + s_casf) + s_lburstf
-    # Chained same-bank access after an opener (dirty-victim fills).
-    act2 = 0 if s_openpol else s_tact
-    bs2 = act2 + s_tcas + slb
-    sets = tags_cache._sets
-    pol = tags_cache.policy
-    pol_kind = 2 if type(pol) is DIPPolicy else (1 if type(pol) is LRUPolicy else 0)
-    dp = pol.dueling_period if pol_kind == 2 else 1
-    pmax = pol.psel_max if pol_kind == 2 else 0
-    half = (pol.psel_max + 1) // 2 if pol_kind == 2 else 0
-    bip_inv = pol.bip_epsilon_inverse if pol_kind == 2 else 0
-    rng_randrange = pol._rng.randrange if pol_kind != 1 else None
-    tsl = design.config.sram_tag_latency
-    tslf = float(tsl)
-    l3 = system._l3_latency
-    wic = system._write_issue_cycles
-    num_cores = len(base) - 1
-    ends = base[1:]
-    cur = list(base[:-1])
-    mshrs = system._mshrs
-    mlp = mshrs > 1
-    outst = [[] for _ in range(num_cores)] if mlp else None
-    finish = [0.0] * num_cores
-    last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = array("d"), array("d"), array("d")
-    # stage buffers: predictor is identically 0.0 and tag identically tslf
-    # for every read — both np.zeros/np.full columns after the loop.
-    stq, std, stm = array("d"), array("d"), array("d")
-    unat = array("d")
-    ra, ha, ma = readlat.append, hitlat.append, misslat.append
-    qa, da, mma = stq.append, std.append, stm.append
-    ua = unat.append
-    eps = ATTRIBUTION_EPSILON
-    heap = []
-    push = heappush
-    pop = heappop
-    seq = 0
-    for ci in range(num_cores):
-        if cur[ci] < ends[ci]:
-            gap = G[cur[ci]]
-            push(heap, (gap if gap >= 0.0 else 0.0, seq, _EV_CORE, ci, 0))
-            seq += 1
-    events = 0
-    now = 0.0
-    tg_h = tg_m = tg_f = n_evict = n_devict = 0
-    n_mr = n_mw = n_wh = n_wm = n_vr = n_fills = 0
-    k_acc = k_rh = k_act = k_rd = k_wr = k_bg = k_bus = k_byt = 0
-    while heap:
-        now, _, kind, a, b = pop(heap)
-        events += 1
-        if kind == 0:
-            ci = a
-            if mlp:
-                # MLP prologue (interpreter's _handle_core): retire finished
-                # reads, stall on a full MSHR file or a dependent read whose
-                # producer is still in flight. Each stall is a reschedule —
-                # a separate heap pop, like the interpreter's.
-                out = outst[ci]
-                if out:
-                    out = [t for t in out if t > now]
-                    outst[ci] = out
-                    if len(out) >= mshrs:
-                        push(heap, (min(out), seq, _EV_CORE, ci, 0))
-                        seq += 1
-                        continue
-                if D[cur[ci]] and last_read[ci] > now:
-                    push(heap, (last_read[ci], seq, _EV_CORE, ci, 0))
-                    seq += 1
-                    continue
-            g = cur[ci]
-            addr = A[g]
-            is_wr = W[g]
-            if is_wr:
-                t_tag = now + tsl
-            else:
-                arrival = now + l3
-                t_tag = arrival + tsl
-            i = SI[g]
-            cset = sets[i]
-            way = cset.index_map.get(addr)
-            if way is None:
-                tg_m += 1
-                if pol_kind == 2:
-                    r = i % dp
-                    if r == 0:
-                        if pol.psel < pmax:
-                            pol.psel += 1
-                    elif r == 1:
-                        if pol.psel > 0:
-                            pol.psel -= 1
-                hit = False
-            else:
-                if pol_kind:
-                    state = cset.policy_state
-                    state.remove(way)
-                    state.insert(0, way)
-                if is_wr:
-                    cset.dirty[way] = True
-                tg_h += 1
-                hit = True
-            if is_wr:
-                if hit:
-                    n_wh += 1
-                    push(heap, (t_tag, seq, _EV_STACKWRITE, g, 0))
-                else:
-                    n_wm += 1
-                    push(heap, (t_tag, seq, _EV_MEMWRITE, addr, 0))
-                seq += 1
-                anchor = completed = now + wic
-            else:
-                if hit:
-                    # Single stacked data read, ``demand`` closure inlined.
-                    bk = sb[g]
-                    ch = sc[g]
-                    row = sr[g]
-                    open_row = s_open[bk]
-                    if open_row == row:
-                        core = core_rh
-                        service = bs_rh
-                        serv = serv_rh
-                        k_rh += 1
-                    elif open_row is None:
-                        core = core_act
-                        service = bs_act
-                        serv = serv_act
-                        k_act += 1
-                    else:
-                        core = core_conf
-                        service = bs_conf
-                        serv = serv_conf
-                        k_act += 1
-                    free = s_bdf[bk]
-                    start = t_tag if t_tag >= free else free
-                    backlog = s_baf[bk] - start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_blockcap else s_blockcap
-                        drain = backlog - s_wmark
-                        start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_bdf[bk] = start + service
-                    free = s_baf[bk]
-                    s_baf[bk] = (free if free >= start else start) + service
-                    data_ready = start + core
-                    free = s_udf[ch]
-                    bus_start = data_ready if data_ready >= free else free
-                    backlog = s_uaf[ch] - bus_start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
-                        drain = backlog - s_buswmark
-                        bus_start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_udf[ch] = bus_start + slb
-                    free = s_uaf[ch]
-                    s_uaf[ch] = (free if free >= bus_start else bus_start) + slb
-                    done = bus_start + slb
-                    s_open[bk] = row if s_openpol else None
-                    q = (start - t_tag) + (bus_start - data_ready)
-                    k_acc += 1
-                    k_rd += 1
-                    k_bus += slb
-                    k_byt += s_flb
-                    lat = done - arrival
-                    ha(lat)
-                    da(serv)
-                    mma(0.0)
-                else:
-                    n_mr += 1
-                    done, _, q, serv = mdemand(
-                        t_tag, mb[g], mc[g], mr[g], mlb, False
-                    )
-                    push(heap, (done, seq, _EV_FILL, g, 0))
-                    seq += 1
-                    lat = done - arrival
-                    ma(lat)
-                    da(0.0)
-                    mma(serv)
-                ra(lat)
-                qa(q)
-                gap = lat - (q + tslf + serv)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
-                completed = done if done >= arrival else arrival
-                if mlp:
-                    # Compute overlaps the outstanding miss: the next record
-                    # issues relative to now, not the read's completion.
-                    outst[ci].append(completed)
-                    anchor = now
-                else:
-                    anchor = completed
-                if completed > last_read[ci]:
-                    last_read[ci] = completed
-            if completed > finish[ci]:
-                finish[ci] = completed
-            g += 1
-            cur[ci] = g
-            if g < ends[ci]:
-                nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0))
-                seq += 1
-        elif kind == 1:  # _EV_MEMWRITE
-            n_mw += 1
-            chunk = a // m_lpr
-            ch = chunk % m_ch
-            per = chunk // m_ch
-            mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
-        elif kind == 2:  # _EV_FILL (SetAssocCache.fill + on_insert inlined)
-            addr_f = A[a]
-            i = SI[a]
-            cset = sets[i]
-            ctags = cset.tags
-            imap = cset.index_map
-            way = imap.get(addr_f)
-            ev_dirty = False
-            ev_addr = -1
-            if way is None:
-                if -1 in ctags:
-                    way = ctags.index(-1)
-                else:
-                    if pol_kind:
-                        way = cset.policy_state[-1]
-                    else:
-                        way = rng_randrange(cset.policy_state)
-                    ev_addr = ctags[way]
-                    ev_dirty = cset.dirty[way]
-                    del imap[ev_addr]
-                    n_evict += 1
-                    if ev_dirty:
-                        n_devict += 1
-                ctags[way] = addr_f
-                imap[addr_f] = way
-                cset.dirty[way] = False
-                tg_f += 1
-            if pol_kind == 1:
-                state = cset.policy_state
-                state.remove(way)
-                state.insert(0, way)
-            elif pol_kind == 2:
-                state = cset.policy_state
-                state.remove(way)
-                r = i % dp
-                if r == 0:
-                    lru_ins = True
-                elif r == 1:
-                    lru_ins = False
-                else:
-                    lru_ins = pol.psel < half
-                if lru_ins:
-                    state.insert(0, way)
-                elif rng_randrange(bip_inv) == 0:
-                    state.insert(0, way)
-                else:
-                    state.append(way)
-            bk = sb[a]
-            ch = sc[a]
-            row = sr[a]
-            # First stacked access resolves the open row (``background``
-            # closure inlined); a chained second access after a dirty
-            # victim read statically row-hits/re-activates (act2).
-            open_row = s_open[bk]
-            if open_row == row:
-                act = 0
-                service = bs_rh
-                k_rh += 1
-            elif open_row is None:
-                act = s_tact
-                service = bs_act
-                k_act += 1
-            else:
-                act = s_tconf
-                service = bs_conf
-                k_act += 1
-            if ev_dirty:
-                free = s_baf[bk]
-                start = now if now >= free else free
-                s_baf[bk] = start + service
-                data_ready = start + act + s_tcas
-                free = s_uaf[ch]
-                bus_start = data_ready if data_ready >= free else free
-                s_uaf[ch] = bus_start + slb
-                vdone = bus_start + slb
-                n_vr += 1
-                push(heap, (vdone, seq, _EV_MEMWRITE, ev_addr, 0))
-                seq += 1
-                # Fill write, chained behind the victim read.
-                free = s_baf[bk]
-                start = vdone if vdone >= free else free
-                s_baf[bk] = start + bs2
-                data_ready = start + act2 + s_tcas
-                free = s_uaf[ch]
-                bus_start = data_ready if data_ready >= free else free
-                s_uaf[ch] = bus_start + slb
-                if s_openpol:
-                    k_rh += 1
-                else:
-                    k_act += 1
-                k_acc += 2
-                k_rd += 1
-                k_wr += 1
-                k_bg += 2
-                k_bus += slb + slb
-                k_byt += s_flb + s_flb
-            else:
-                free = s_baf[bk]
-                start = now if now >= free else free
-                s_baf[bk] = start + service
-                data_ready = start + act + s_tcas
-                free = s_uaf[ch]
-                bus_start = data_ready if data_ready >= free else free
-                s_uaf[ch] = bus_start + slb
-                k_acc += 1
-                k_wr += 1
-                k_bg += 1
-                k_bus += slb
-                k_byt += s_flb
-            s_open[bk] = row if s_openpol else None
-            n_fills += 1
-        else:  # _EV_STACKWRITE
-            bk = sb[a]
-            ch = sc[a]
-            row = sr[a]
-            open_row = s_open[bk]
-            if open_row == row:
-                act = 0
-                service = bs_rh
-                k_rh += 1
-            elif open_row is None:
-                act = s_tact
-                service = bs_act
-                k_act += 1
-            else:
-                act = s_tconf
-                service = bs_conf
-                k_act += 1
-            free = s_baf[bk]
-            start = now if now >= free else free
-            s_baf[bk] = start + service
-            data_ready = start + act + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + slb
-            s_open[bk] = row if s_openpol else None
-            k_acc += 1
-            k_wr += 1
-            k_bg += 1
-            k_bus += slb
-            k_byt += s_flb
-    stats = design.stats
-    mflush()
-    sflush()
-    _flush_device(stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt)
-    _flush(stats, "write_hits", n_wh)
-    _flush(stats, "write_misses", n_wm)
-    _flush(stats, "memory_reads", n_mr)
-    _flush(stats, "memory_writes", n_mw)
-    _flush(stats, "victim_reads", n_vr)
-    _flush(stats, "fills", n_fills)
-    _flush(tags_cache.stats, "hits", tg_h)
-    _flush(tags_cache.stats, "misses", tg_m)
-    _flush(tags_cache.stats, "fills", tg_f)
-    _flush(tags_cache.stats, "evictions", n_evict)
-    _flush(tags_cache.stats, "dirty_evictions", n_devict)
-    n = len(readlat)
-    _writeback_reads(
-        design, readlat, hitlat, misslat,
-        (stq, np.zeros(n), np.full(n, tslf), std, stm), unat
-    )
-    _finish_cores(system, finish, last_read, nr, nw)
-    system.events_processed += events
-    system.now = now
-
-
-# ----------------------------------------------------------------------
-# lh-cache kernel
-# ----------------------------------------------------------------------
-def _run_lh(system, starts):
-    design = system.design
-    memory = system.memory
-    stacked = system.stacked
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    sdemand, sbg, sflush, s_state = _device_fns(stacked)
-    s_bdf, s_baf, s_udf, s_uaf = s_state
-    (
-        s_tact,
-        s_tconf,
-        s_tcas,
-        s_casf,
-        s_lburst,
-        s_blockcap,
-        s_wmark,
-        s_buswmark,
-        s_flb,
-        s_tactf,
-        s_tconff,
-        s_lburstf,
-    ) = _device_consts(stacked)
-    s_open = stacked._open_row
-    s_openpol = stacked.page_policy == "open"
-    A, G, W, _, D, base, nr, nw, a_np = _flatten(system, starts, False)
-    mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    tags_cache = design.tags
-    si_np = a_np % tags_cache.num_sets
-    SI = si_np.tolist()
-    sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
-    sets = tags_cache._sets
-    pol = tags_cache.policy
-    pol_kind = 2 if type(pol) is DIPPolicy else (1 if type(pol) is LRUPolicy else 0)
-    dp = pol.dueling_period if pol_kind == 2 else 1
-    pmax = pol.psel_max if pol_kind == 2 else 0
-    half = (pol.psel_max + 1) // 2 if pol_kind == 2 else 0
-    bip_inv = pol.bip_epsilon_inverse if pol_kind == 2 else 0
-    rng_randrange = pol._rng.randrange if pol_kind != 1 else None
-    missmap = design.missmap
-    mm_present = missmap._present
-    mml = design._missmap_latency
-    mmlf = design._missmap_latency_f
-    tag_b = design._tag_burst_v
-    lb = design._line_burst_v
-    ub = design._update_burst_v
-    requpd = design._requires_update
-    tcc = TAG_CHECK_CYCLES
-    # Per-burst constants preresolved for the inlined stacked accesses.
-    tag_bf = s_lburstf if tag_b == s_lburst else float(tag_b)
-    lb_f = s_lburstf if lb == s_lburst else float(lb)
-    tag_bytes = s_flb if tag_b == s_lburst else int(tag_b * LINE_SIZE / s_lburst)
-    lb_bytes = s_flb if lb == s_lburst else int(lb * LINE_SIZE / s_lburst)
-    ub_bytes = s_flb if ub == s_lburst else int(ub * LINE_SIZE / s_lburst)
-    # Chained same-bank accesses after an opener: with the open-row policy
-    # they hit the just-opened row; with the closed policy the bank is
-    # always precharged (open row None -> a plain activation).
-    act2 = 0 if s_openpol else s_tact
-    act2_f = 0.0 if s_openpol else s_tactf
-    core2 = act2 + s_tcas
-    bs2_lb = core2 + lb
-    bs2_ub = core2 + ub
-    serv2_lb = (act2_f + s_casf) + lb_f
-    # First access of each compound sequence resolves the open row at run
-    # time; its derived latencies take one of three values.
-    core_rh = s_tcas
-    core_act = s_tact + s_tcas
-    core_conf = s_tconf + s_tcas
-    bst_rh = core_rh + tag_b
-    bst_act = core_act + tag_b
-    bst_conf = core_conf + tag_b
-    servt_rh = (0.0 + s_casf) + tag_bf
-    servt_act = (s_tactf + s_casf) + tag_bf
-    servt_conf = (s_tconff + s_casf) + tag_bf
-    tst_rh = servt_rh + tcc
-    tst_act = servt_act + tcc
-    tst_conf = servt_conf + tcc
-    mm_pop = missmap._segment_population
-    mm_pop_get = mm_pop.get
-    mm_lps = _MM_LINES_PER_SEGMENT
-    l3 = system._l3_latency
-    wic = system._write_issue_cycles
-    num_cores = len(base) - 1
-    ends = base[1:]
-    cur = list(base[:-1])
-    mshrs = system._mshrs
-    mlp = mshrs > 1
-    outst = [[] for _ in range(num_cores)] if mlp else None
-    finish = [0.0] * num_cores
-    last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = array("d"), array("d"), array("d")
-    # The predictor stage is identically the MissMap latency for every
-    # read — an np.full column after the loop instead of appended per read.
-    stq, stt, std, stm = (
-        array("d"), array("d"), array("d"), array("d")
-    )
-    unat = array("d")
-    ra, ha, ma = readlat.append, hitlat.append, misslat.append
-    qa, ta, da, mma = stq.append, stt.append, std.append, stm.append
-    ua = unat.append
-    eps = ATTRIBUTION_EPSILON
-    heap = []
-    push = heappush
-    pop = heappop
-    seq = 0
-    for ci in range(num_cores):
-        if cur[ci] < ends[ci]:
-            gap = G[cur[ci]]
-            push(heap, (gap if gap >= 0.0 else 0.0, seq, _EV_CORE, ci, 0))
-            seq += 1
-    events = 0
-    now = 0.0
-    tg_h = tg_m = tg_f = n_evict = n_devict = 0
-    n_mml = n_mmh = n_mmm = 0
-    n_mr = n_mw = n_wh = n_wm = n_vr = n_fills = n_reopen = n_upd = 0
-    # Stacked-device counter tallies for the inlined access sequences
-    # (added to the device after ``sflush`` drains the closure-side ones).
-    k_acc = k_rh = k_act = k_rd = k_wr = k_bg = k_bus = k_byt = 0
-    while heap:
-        now, _, kind, a, b = pop(heap)
-        events += 1
-        if kind == 0:
-            ci = a
-            if mlp:
-                # MLP prologue (interpreter's _handle_core): retire finished
-                # reads, stall on a full MSHR file or a dependent read whose
-                # producer is still in flight. Each stall is a reschedule —
-                # a separate heap pop, like the interpreter's.
-                out = outst[ci]
-                if out:
-                    out = [t for t in out if t > now]
-                    outst[ci] = out
-                    if len(out) >= mshrs:
-                        push(heap, (min(out), seq, _EV_CORE, ci, 0))
-                        seq += 1
-                        continue
-                if D[cur[ci]] and last_read[ci] > now:
-                    push(heap, (last_read[ci], seq, _EV_CORE, ci, 0))
-                    seq += 1
-                    continue
-            g = cur[ci]
-            addr = A[g]
-            is_wr = W[g]
-            if is_wr:
-                t0 = now + mml
-            else:
-                arrival = now + l3
-                t0 = arrival + mml
-            n_mml += 1
-            present = addr in mm_present
-            if present:
-                n_mmh += 1
-            else:
-                n_mmm += 1
-            i = SI[g]
-            cset = sets[i]
-            way = cset.index_map.get(addr)
-            if way is None:
-                tg_m += 1
-                if pol_kind == 2:
-                    r = i % dp
-                    if r == 0:
-                        if pol.psel < pmax:
-                            pol.psel += 1
-                    elif r == 1:
-                        if pol.psel > 0:
-                            pol.psel -= 1
-                hit = False
-            else:
-                if pol_kind:
-                    state = cset.policy_state
-                    state.remove(way)
-                    state.insert(0, way)
-                if is_wr:
-                    cset.dirty[way] = True
-                tg_h += 1
-                hit = True
-            assert present == hit, "MissMap diverged from the tag array"
-            if is_wr:
-                if hit:
-                    n_wh += 1
-                    push(heap, (t0, seq, _EV_WHT, g, 0))
-                else:
-                    n_wm += 1
-                    push(heap, (t0, seq, _EV_MEMWRITE, addr, 0))
-                seq += 1
-                anchor = completed = now + wic
-            else:
-                if hit:
-                    # Compound hit sequence, device arithmetic inlined
-                    # (mirrors the ``demand`` closure expression-for-
-                    # expression). All accesses touch one bank/row, so
-                    # only the tag read resolves the open row at run time;
-                    # the chained accesses statically row-hit (open
-                    # policy) or re-activate (closed).
-                    bk = sb[g]
-                    ch = sc[g]
-                    row = sr[g]
-                    open_row = s_open[bk]
-                    if open_row == row:
-                        core = core_rh
-                        service = bst_rh
-                        serv_t = servt_rh
-                        t_stage = tst_rh
-                        k_rh += 1
-                    elif open_row is None:
-                        core = core_act
-                        service = bst_act
-                        serv_t = servt_act
-                        t_stage = tst_act
-                        k_act += 1
-                    else:
-                        core = core_conf
-                        service = bst_conf
-                        serv_t = servt_conf
-                        t_stage = tst_conf
-                        k_act += 1
-                    free = s_bdf[bk]
-                    start = t0 if t0 >= free else free
-                    backlog = s_baf[bk] - start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_blockcap else s_blockcap
-                        drain = backlog - s_wmark
-                        start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_bdf[bk] = start + service
-                    free = s_baf[bk]
-                    s_baf[bk] = (free if free >= start else start) + service
-                    data_ready = start + core
-                    free = s_udf[ch]
-                    bus_start = data_ready if data_ready >= free else free
-                    backlog = s_uaf[ch] - bus_start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
-                        drain = backlog - s_buswmark
-                        bus_start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_udf[ch] = bus_start + tag_b
-                    free = s_uaf[ch]
-                    s_uaf[ch] = (free if free >= bus_start else bus_start) + tag_b
-                    done_t = bus_start + tag_b
-                    q_t = (start - t0) + (bus_start - data_ready)
-                    # Data read, chained on the same bank.
-                    now2 = done_t + tcc
-                    free = s_bdf[bk]
-                    start = now2 if now2 >= free else free
-                    backlog = s_baf[bk] - start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_blockcap else s_blockcap
-                        drain = backlog - s_wmark
-                        start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_bdf[bk] = start + bs2_lb
-                    free = s_baf[bk]
-                    s_baf[bk] = (free if free >= start else start) + bs2_lb
-                    data_ready = start + core2
-                    free = s_udf[ch]
-                    bus_start = data_ready if data_ready >= free else free
-                    backlog = s_uaf[ch] - bus_start
-                    if backlog > 0:
-                        blocked = backlog if backlog <= s_lburst else s_lburst
-                        drain = backlog - s_buswmark
-                        bus_start += blocked + (drain if drain > 0.0 else 0.0)
-                    s_udf[ch] = bus_start + lb
-                    free = s_uaf[ch]
-                    s_uaf[ch] = (free if free >= bus_start else bus_start) + lb
-                    done = bus_start + lb
-                    q_d = (start - now2) + (bus_start - data_ready)
-                    if s_openpol:
-                        k_rh += 1
-                    else:
-                        k_act += 1
-                        n_reopen += 1
-                    if requpd:
-                        # Replacement-metadata write (outputs discarded).
-                        free = s_bdf[bk]
-                        start = done if done >= free else free
-                        backlog = s_baf[bk] - start
-                        if backlog > 0:
-                            blocked = (
-                                backlog if backlog <= s_blockcap else s_blockcap
-                            )
-                            drain = backlog - s_wmark
-                            start += blocked + (drain if drain > 0.0 else 0.0)
-                        s_bdf[bk] = start + bs2_ub
-                        free = s_baf[bk]
-                        s_baf[bk] = (free if free >= start else start) + bs2_ub
-                        data_ready = start + core2
-                        free = s_udf[ch]
-                        bus_start = data_ready if data_ready >= free else free
-                        backlog = s_uaf[ch] - bus_start
-                        if backlog > 0:
-                            blocked = backlog if backlog <= s_lburst else s_lburst
-                            drain = backlog - s_buswmark
-                            bus_start += blocked + (drain if drain > 0.0 else 0.0)
-                        s_udf[ch] = bus_start + ub
-                        free = s_uaf[ch]
-                        s_uaf[ch] = (free if free >= bus_start else bus_start) + ub
-                        if s_openpol:
-                            k_rh += 1
-                        else:
-                            k_act += 1
-                        k_acc += 1
-                        k_wr += 1
-                        k_bus += ub
-                        k_byt += ub_bytes
-                        n_upd += 1
-                    s_open[bk] = row if s_openpol else None
-                    k_acc += 2
-                    k_rd += 2
-                    k_bus += tag_b + lb
-                    k_byt += tag_bytes + lb_bytes
-                    lat = done - arrival
-                    ha(lat)
-                    q = q_t + q_d
-                    qa(q)
-                    ta(t_stage)
-                    da(serv2_lb)
-                    mma(0.0)
-                    gap = lat - (q + mmlf + t_stage + serv2_lb)
-                else:
-                    n_mr += 1
-                    done, _, q, serv = mdemand(
-                        t0, mb[g], mc[g], mr[g], mlb, False
-                    )
-                    push(heap, (done, seq, _EV_FILL, g, 0))
-                    seq += 1
-                    lat = done - arrival
-                    ma(lat)
-                    qa(q)
-                    ta(0.0)
-                    da(0.0)
-                    mma(serv)
-                    gap = lat - (q + mmlf + serv)
-                ra(lat)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
-                completed = done if done >= arrival else arrival
-                if mlp:
-                    # Compute overlaps the outstanding miss: the next record
-                    # issues relative to now, not the read's completion.
-                    outst[ci].append(completed)
-                    anchor = now
-                else:
-                    anchor = completed
-                if completed > last_read[ci]:
-                    last_read[ci] = completed
-            if completed > finish[ci]:
-                finish[ci] = completed
-            g += 1
-            cur[ci] = g
-            if g < ends[ci]:
-                nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0))
-                seq += 1
-        elif kind == 1:  # _EV_MEMWRITE
-            n_mw += 1
-            chunk = a // m_lpr
-            ch = chunk % m_ch
-            per = chunk // m_ch
-            mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
-        elif kind == 2:  # _EV_FILL (SetAssocCache.fill + on_insert inlined)
-            addr2 = A[a]
-            bk = sb[a]
-            ch = sc[a]
-            row = sr[a]
-            # Tag read (``background`` closure inlined; background
-            # accesses reserve only the all-traffic horizons).
-            open_row = s_open[bk]
-            if open_row == row:
-                act = 0
-                service = bst_rh
-                k_rh += 1
-            elif open_row is None:
-                act = s_tact
-                service = bst_act
-                k_act += 1
-            else:
-                act = s_tconf
-                service = bst_conf
-                k_act += 1
-            free = s_baf[bk]
-            start = now if now >= free else free
-            s_baf[bk] = start + service
-            data_ready = start + act + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + tag_b
-            td = bus_start + tag_b
-            k_acc += 1
-            k_rd += 1
-            k_bg += 1
-            k_bus += tag_b
-            k_byt += tag_bytes
-            i = SI[a]
-            cset = sets[i]
-            ctags = cset.tags
-            imap = cset.index_map
-            way = imap.get(addr2)
-            ev_valid = False
-            ev_dirty = False
-            ev_addr = -1
-            if way is None:
-                if -1 in ctags:
-                    way = ctags.index(-1)
-                else:
-                    if pol_kind:
-                        way = cset.policy_state[-1]
-                    else:
-                        way = rng_randrange(cset.policy_state)
-                    ev_valid = True
-                    ev_addr = ctags[way]
-                    ev_dirty = cset.dirty[way]
-                    del imap[ev_addr]
-                    n_evict += 1
-                    if ev_dirty:
-                        n_devict += 1
-                ctags[way] = addr2
-                imap[addr2] = way
-                cset.dirty[way] = False
-                tg_f += 1
-            if pol_kind == 1:
-                state = cset.policy_state
-                state.remove(way)
-                state.insert(0, way)
-            elif pol_kind == 2:
-                state = cset.policy_state
-                state.remove(way)
-                r = i % dp
-                if r == 0:
-                    lru_ins = True
-                elif r == 1:
-                    lru_ins = False
-                else:
-                    lru_ins = pol.psel < half
-                if lru_ins:
-                    state.insert(0, way)
-                elif rng_randrange(bip_inv) == 0:
-                    state.insert(0, way)
-                else:
-                    state.append(way)
-            # missmap.insert(addr2), segment accounting included
-            if addr2 not in mm_present:
-                mm_present.add(addr2)
-                seg = addr2 // mm_lps
-                mm_pop[seg] = mm_pop_get(seg, 0) + 1
-            t = td + tcc
-            if ev_valid:
-                # missmap.remove(ev_addr)
-                if ev_addr in mm_present:
-                    mm_present.discard(ev_addr)
-                    seg = ev_addr // mm_lps
-                    remaining = mm_pop[seg] - 1
-                    if remaining:
-                        mm_pop[seg] = remaining
-                    else:
-                        del mm_pop[seg]
-                if ev_dirty:
-                    # Victim line read, chained on the same bank.
-                    free = s_baf[bk]
-                    start = t if t >= free else free
-                    s_baf[bk] = start + bs2_lb
-                    data_ready = start + act2 + s_tcas
-                    free = s_uaf[ch]
-                    bus_start = data_ready if data_ready >= free else free
-                    s_uaf[ch] = bus_start + lb
-                    vdone = bus_start + lb
-                    if s_openpol:
-                        k_rh += 1
-                    else:
-                        k_act += 1
-                    k_acc += 1
-                    k_rd += 1
-                    k_bg += 1
-                    k_bus += lb
-                    k_byt += lb_bytes
-                    n_vr += 1
-                    push(heap, (vdone, seq, _EV_MEMWRITE, ev_addr, 0))
-                    seq += 1
-                    t = vdone
-            # Data write, then the tag-line update chained behind it.
-            free = s_baf[bk]
-            start = t if t >= free else free
-            s_baf[bk] = start + bs2_lb
-            data_ready = start + act2 + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + lb
-            dw = bus_start + lb
-            free = s_baf[bk]
-            start = dw if dw >= free else free
-            s_baf[bk] = start + bs2_lb
-            data_ready = start + act2 + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + lb
-            s_open[bk] = row if s_openpol else None
-            if s_openpol:
-                k_rh += 2
-            else:
-                k_act += 2
-            k_acc += 2
-            k_wr += 2
-            k_bg += 2
-            k_bus += lb + lb
-            k_byt += lb_bytes + lb_bytes
-            n_fills += 1
-        else:  # _EV_WHT (write-hit traffic): tag read, then data write
-            bk = sb[a]
-            ch = sc[a]
-            row = sr[a]
-            open_row = s_open[bk]
-            if open_row == row:
-                act = 0
-                service = bst_rh
-                k_rh += 1
-            elif open_row is None:
-                act = s_tact
-                service = bst_act
-                k_act += 1
-            else:
-                act = s_tconf
-                service = bst_conf
-                k_act += 1
-            free = s_baf[bk]
-            start = now if now >= free else free
-            s_baf[bk] = start + service
-            data_ready = start + act + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + tag_b
-            td = bus_start + tag_b
-            t = td + tcc
-            free = s_baf[bk]
-            start = t if t >= free else free
-            s_baf[bk] = start + bs2_lb
-            data_ready = start + act2 + s_tcas
-            free = s_uaf[ch]
-            bus_start = data_ready if data_ready >= free else free
-            s_uaf[ch] = bus_start + lb
-            s_open[bk] = row if s_openpol else None
-            if s_openpol:
-                k_rh += 1
-            else:
-                k_act += 1
-            k_acc += 2
-            k_rd += 1
-            k_wr += 1
-            k_bg += 2
-            k_bus += tag_b + lb
-            k_byt += tag_bytes + lb_bytes
-    stats = design.stats
-    mflush()
-    sflush()
-    _flush_device(stacked, k_acc, k_rh, k_act, k_rd, k_wr, k_bg, k_bus, k_byt)
-    _flush(stats, "compound_row_reopens", n_reopen)
-    _flush(stats, "replacement_updates", n_upd)
-    _flush(stats, "write_hits", n_wh)
-    _flush(stats, "write_misses", n_wm)
-    _flush(stats, "memory_reads", n_mr)
-    _flush(stats, "memory_writes", n_mw)
-    _flush(stats, "victim_reads", n_vr)
-    _flush(stats, "fills", n_fills)
-    _flush(tags_cache.stats, "hits", tg_h)
-    _flush(tags_cache.stats, "misses", tg_m)
-    _flush(tags_cache.stats, "fills", tg_f)
-    _flush(tags_cache.stats, "evictions", n_evict)
-    _flush(tags_cache.stats, "dirty_evictions", n_devict)
-    _flush(missmap.stats, "lookups", n_mml)
-    _flush(missmap.stats, "predicted_hits", n_mmh)
-    _flush(missmap.stats, "predicted_misses", n_mmm)
-    _writeback_reads(
-        design, readlat, hitlat, misslat,
-        (stq, np.full(len(readlat), mmlf), stt, std, stm), unat
-    )
-    _finish_cores(system, finish, last_read, nr, nw)
-    system.events_processed += events
-    system.now = now
-
-
-# ----------------------------------------------------------------------
-# alloy kernel (direct-mapped, all predictor variants)
-# ----------------------------------------------------------------------
 def _mact_indices(pcs_np, index_bits):
     """Vectorized :func:`repro.core.predictors.folded_xor` over a PC array."""
     value = pcs_np.astype(np.uint64)
@@ -2038,418 +621,886 @@ def _mact_indices(pcs_np, index_bits):
         value >>= shift
     return folded.astype(np.int64).tolist()
 
+# ----------------------------------------------------------------------
+# Kernel generation
+# ----------------------------------------------------------------------
+# A template is Python source with two additions, both resolved while
+# generating:
+#
+# * ``#if COND`` / ``#elif COND`` / ``#else`` / ``#endif`` lines keep or
+#   drop the lines they bracket; COND is a Python expression over the
+#   configuration flags (:func:`_flags`).
+# * A line ``@name(param=value, ...)`` is replaced by the snippet ``name``
+#   at that line's indentation, its ``$param`` placeholders bound to the
+#   values (plain names or expressions without commas; a snippet expands
+#   each ``$param`` textually, so pass names for values it reads twice).
+#
+# The ``demand`` and ``background`` snippets are DRAM reservation sites:
+# each expansion gets a counter of its own (``$site``), and the device's
+# counter flush sums those counters with the sites' static read/write,
+# background, burst and byte figures. Lines ``@@sites d``, ``@@nonlocal d``
+# and ``@@flush d dev`` are filled in from the sites once the whole
+# function has been expanded.
 
-def _run_alloy(system, starts):
+_DIRECTIVE = re.compile(r"\s*#(if|elif|else|endif)\b\s*(.*)$")
+_SNIPPET_CALL = re.compile(r"(\s*)@(\w+)\((.*)\)\s*$")
+_MARKER = re.compile(r"(\s*)@@(\w+)\s*(.*)$")
+_SITES = ("demand", "background")
+
+#: Generated functions by (template name, configuration), built on first
+#: use and kept for the process. Threads share it: two racing on one key at
+#: most compile it twice, to equal functions.
+_KERNELS: Dict[tuple, object] = {}
+#: Each snippet's ``(defaults, source)``; a ``None`` default is required.
+_SNIPPETS: Dict[str, tuple] = {}
+
+
+def _snippet(name, params, source):
+    """Register template snippet ``name``; ``params`` is a space-separated
+    list of ``param`` (required) or ``param=default`` entries."""
+    defaults = {}
+    for entry in params.split():
+        key, _, default = entry.partition("=")
+        defaults[key] = default or None
+    _SNIPPETS[name] = (defaults, source)
+
+
+class _Generator:
+    """Expands one template for one configuration."""
+
+    def __init__(self, flags):
+        self.flags = flags
+        self.lines: List[str] = []
+        #: Reservation sites in expansion order:
+        #: (device, counter, write, background, fixed, burst, bytes).
+        self.sites: List[tuple] = []
+
+    def expand(self, text, indent=""):
+        live = [True]  # is each open #if's current branch kept?
+        taken: List[bool] = []  # has each open #if kept a branch yet?
+        for line in text.split("\n"):
+            directive = _DIRECTIVE.match(line)
+            if directive:
+                word, cond = directive.groups()
+                if word == "if":
+                    keep = live[-1] and bool(eval(cond, {}, self.flags))
+                    taken.append(keep)
+                    live.append(keep)
+                elif word == "endif":
+                    live.pop()
+                    taken.pop()
+                else:
+                    live.pop()
+                    keep = live[-1] and not taken[-1] and (
+                        word == "else" or bool(eval(cond, {}, self.flags))
+                    )
+                    taken[-1] = taken[-1] or keep
+                    live.append(keep)
+                continue
+            if not live[-1] or not line.strip():
+                continue
+            call = _SNIPPET_CALL.match(line)
+            if call is None:
+                self.lines.append(indent + line)
+                continue
+            pad, name, args = call.groups()
+            defaults, source = _SNIPPETS[name]
+            values = dict(defaults)
+            for arg in filter(None, (a.strip() for a in args.split(","))):
+                key, _, value = arg.partition("=")
+                if key not in defaults:
+                    raise TypeError(f"snippet {name!r} has no parameter {key!r}")
+                values[key] = value
+            missing = [key for key, value in values.items() if value is None]
+            if missing:
+                raise TypeError(f"snippet {name!r} needs {missing}")
+            if name in _SITES:
+                values["site"] = f"n_{values['d']}{len(self.sites)}"
+                self.sites.append(
+                    (
+                        values["d"],
+                        values["site"],
+                        values["write"] == "True",
+                        name == "background",
+                        values["fixed"] == "True",
+                        values["burst"],
+                        values["bytes"],
+                    )
+                )
+            self.expand(Template(source).substitute(values), indent + pad)
+
+    def source(self):
+        """The expanded lines, with the site markers filled in."""
+        out = []
+        for line in self.lines:
+            marker = _MARKER.match(line)
+            if marker is None:
+                out.append(line)
+                continue
+            pad, word, args = marker.groups()
+            d, *rest = args.split()
+            sites = [s for s in self.sites if s[0] == d]
+            counters = [s[1] for s in sites]
+            if word == "sites":
+                out.append(f"{pad}{' = '.join(counters + ['0'])}")
+            elif word == "nonlocal":
+                names = counters + [f"{d}_rh", f"{d}_bus", f"{d}_byt"]
+                out.append(f"{pad}nonlocal {', '.join(names)}")
+            else:  # flush
+                out.extend(pad + flush for flush in _flush_source(d, rest[0], sites))
+        return "\n".join(out) + "\n"
+
+
+def _sum(terms):
+    return " + ".join(terms) or "0"
+
+
+def _flush_source(d, dev, sites):
+    """Lines writing device ``dev``'s timelines and tallies back."""
+    fixed = [s for s in sites if s[4]]
+    return [
+        f"_store_timelines({dev}, {d}_bdf, {d}_baf, {d}_udf, {d}_uaf)",
+        f"{d}_acc = {_sum(s[1] for s in sites)}",
+        f"_flush_device({dev}, {d}_acc, {d}_rh, {d}_acc - {d}_rh,",
+        f"    {_sum(s[1] for s in sites if not s[2])},",
+        f"    {_sum(s[1] for s in sites if s[2])},",
+        f"    {_sum(s[1] for s in sites if s[3])},",
+        f"    {_sum([f'{d}_bus'] + [f'{s[1]} * {s[5]}' for s in fixed])},",
+        f"    {_sum([f'{d}_byt'] + [f'{s[1]} * {s[6]}' for s in fixed])})",
+    ]
+
+
+def _generate(template, name, flags):
+    """Compile ``template`` for ``flags``; returns the function ``name``.
+
+    The source gets a synthetic filename naming the configuration, and is
+    registered with :mod:`linecache`, so a traceback through a generated
+    function names its variant and shows its lines.
+    """
+    gen = _Generator(flags)
+    gen.expand(Template(template).substitute(name=name, family=flags["family"]))
+    source = gen.source()
+    label = " ".join(
+        f"{key}={value}" for key, value in sorted(flags.items()) if key != "family"
+    )
+    filename = f"<repro.sim.batch {name} {label}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+def _cached(template, name, flags):
+    key = (name, tuple(sorted(flags.items())))
+    fn = _KERNELS.get(key)
+    if fn is None:
+        fn = _KERNELS[key] = _generate(template, name, flags)
+    return fn
+
+
+def _flags(family, system):
+    """The configuration a kernel is generated for: its family, then each
+    flag its templates branch on."""
+    design = system.design
+    flags = {
+        "family": family,
+        "mlp": system._mshrs > 1,
+        "m_open_page": system.memory.page_policy == "open",
+        "s_open_page": system.stacked.page_policy == "open",
+        "warm": False,
+    }
+    flags.update(_design_flags(family, design))
+    return flags
+
+
+def _design_flags(family, design):
+    """Flags that depend on the design alone (the warmup's whole key)."""
+    flags = {
+        "ways1": True,
+        "victim": False,
+        "pred": "none",
+        "policy": "none",
+        "update": False,
+    }
+    if family in ("sram", "lh"):
+        flags["ways1"] = design.tags.ways == 1
+        flags["policy"] = _POLICIES[type(design.tags.policy)]
+        flags["update"] = family == "lh" and design._requires_update
+    elif family == "alloy":
+        flags["ways1"] = design.cache.ways == 1
+        if not flags["ways1"]:
+            flags["policy"] = "lru"
+        flags["victim"] = type(design) is AlloyVictimDesign
+        flags["pred"] = _PREDICTORS[type(design.predictor)]
+    return flags
+
+
+def _kernel(family, system):
+    """The event loop generated for ``system``'s configuration."""
+    return _cached(_KERNEL, f"kernel_{family}", _flags(family, system))
+
+
+def _warm_loop(design):
+    """The flat warmup loop generated for a set-associative or victim
+    design, or None for any other design."""
+    kind = type(design)
+    if kind is SramTagDesign:
+        family = "sram"
+    elif kind is LHCacheDesign:
+        family = "lh"
+    elif kind is AlloyVictimDesign or (
+        kind is AlloyCacheDesign and design.cache.ways != 1
+    ):
+        family = "alloy"
+    else:
+        return None
+    if _select_kernel(design) is None:
+        return None
+    flags = _design_flags(family, design)
+    flags.update(family=family, warm=True)
+    return _cached(_WARM, f"warm_{family}", flags)
+
+
+def device_fns(dev):
+    """``(demand, background, flush)`` callables over ``dev``, compiled from
+    the kernels' own reservation templates.
+
+    ``demand(now, bank_idx, channel, row, burst_cycles, is_write)`` returns
+    ``(done, row_hit, queue_cycles, service_cycles)`` combined the way
+    :meth:`LatencyBreakdown.attribute_device` folds an
+    :class:`~repro.dram.device.AccessResult`; ``background`` (same
+    arguments) returns ``done``. Timelines and tallies live in the
+    callables until ``flush`` writes them back to ``dev``. ``repro check``
+    diffs these against :meth:`DramDevice.access`, so it checks exactly the
+    arithmetic the kernels inline.
+    """
+    flags = {"family": "device", "d_open_page": dev.page_policy == "open"}
+    return _cached(_DEVICE, "device_fns", flags)(dev)
+
+
+def _store_timelines(dev, bank_demand, bank_all, bus_demand, bus_all):
+    """Write a kernel's bank and bus horizons back to ``dev``."""
+    for i, bank in enumerate(dev._banks):
+        bank.demand_free = bank_demand[i]
+        bank.all_free = bank_all[i]
+    for i, bus in enumerate(dev._buses):
+        bus.demand_free = bus_demand[i]
+        bus.all_free = bus_all[i]
+
+
+def _flush_warm(group, hits, hit_at, chain):
+    """Add a warmup's store tallies to ``group``, creating each new counter
+    where the per-record replay would have: ``chain`` holds ``(name,
+    count)`` pairs a replay first touches in list order (a fill follows a
+    miss, an eviction a fill), and ``hits`` comes right after the chain
+    counters already nonzero in ``hit_at``, their counts at the first hit.
+    """
+    if hits:
+        before = len([count for count in hit_at if count])
+        chain = chain[:before] + (("hits", hits),) + chain[before:]
+    for name, count in chain:
+        _flush(group, name, count)
+
+
+# ----------------------------------------------------------------------
+# Templates: one DRAM access
+# ----------------------------------------------------------------------
+# Mirrors DramDevice.access: the open-row outcome, PriorityTimeline.reserve
+# on the bank and then on the channel bus, the open-row update, and the
+# device counters (as site tallies). ``chained`` marks an access that
+# directly follows one to the same bank and row, which the open-page
+# policy makes a static row hit. A closed-page device never keeps a row
+# open, so every one of its accesses activates. Demand ``serv`` is the
+# integer act + CAS + burst service; float arithmetic converts it exactly.
+_snippet(
+    "activate",
+    "d bk row chained hits rowhit",
+    """
+#if not ${d}_open_page
+act = ${d}_tact
+#if "$rowhit" != "_"
+$rowhit = False
+#endif
+#elif $chained
+act = 0
+${d}_rh += 1
+#if "$hits" != "_"
+$hits += 1
+#endif
+#if "$rowhit" != "_"
+$rowhit = True
+#endif
+#else
+open_row = ${d}_open[$bk]
+#if "$rowhit" != "_"
+$rowhit = open_row == $row
+if $rowhit:
+#else
+if open_row == $row:
+#endif
+    act = 0
+    ${d}_rh += 1
+#if "$hits" != "_"
+    $hits += 1
+#endif
+elif open_row is None:
+    act = ${d}_tact
+else:
+    act = ${d}_tconf
+#endif
+""",
+)
+
+_SITE_TAIL = """
+#if ${d}_open_page
+${d}_open[$bk] = $row
+#endif
+$site += 1
+#if not $fixed
+${d}_bus += $burst
+${d}_byt += $bytes
+#endif
+"""
+
+_snippet(
+    "demand",
+    "d now burst bytes bk=bk ch=ch row=row write=False chained=False "
+    "fixed=True done=done q=_ serv=_ hits=_ rowhit=_",
+    """
+@activate(d=$d, bk=$bk, row=$row, chained=$chained, hits=$hits, rowhit=$rowhit)
+core = act + ${d}_tcas
+service = core + $burst
+free = ${d}_bdf[$bk]
+start = $now if $now >= free else free
+backlog = ${d}_baf[$bk] - start
+if backlog > 0:
+    blocked = backlog if backlog <= ${d}_blockcap else ${d}_blockcap
+    drain = backlog - ${d}_wmark
+    start += blocked + (drain if drain > 0.0 else 0.0)
+${d}_bdf[$bk] = start + service
+free = ${d}_baf[$bk]
+${d}_baf[$bk] = (free if free >= start else start) + service
+ready = start + core
+free = ${d}_udf[$ch]
+bus = ready if ready >= free else free
+backlog = ${d}_uaf[$ch] - bus
+if backlog > 0:
+    blocked = backlog if backlog <= ${d}_lb else ${d}_lb
+    drain = backlog - ${d}_buswmark
+    bus += blocked + (drain if drain > 0.0 else 0.0)
+${d}_udf[$ch] = bus + $burst
+free = ${d}_uaf[$ch]
+${d}_uaf[$ch] = (free if free >= bus else bus) + $burst
+#if "$done" != "_"
+$done = bus + $burst
+#endif
+#if "$q" != "_"
+$q = (start - $now) + (bus - ready)
+#endif
+#if "$serv" != "_"
+$serv = service
+#endif
+"""
+    + _SITE_TAIL,
+)
+
+_snippet(
+    "background",
+    "d now burst bytes bk=bk ch=ch row=row write=True chained=False "
+    "fixed=True done=_",
+    """
+@activate(d=$d, bk=$bk, row=$row, chained=$chained, hits=_, rowhit=_)
+core = act + ${d}_tcas
+free = ${d}_baf[$bk]
+start = $now if $now >= free else free
+${d}_baf[$bk] = start + (core + $burst)
+ready = start + core
+free = ${d}_uaf[$ch]
+bus = ready if ready >= free else free
+${d}_uaf[$ch] = bus + $burst
+#if "$done" != "_"
+$done = bus + $burst
+#endif
+"""
+    + _SITE_TAIL,
+)
+
+# A device's constants, timelines and tallies as kernel locals.
+_snippet(
+    "device",
+    "d dev",
+    """
+(${d}_tact, ${d}_tconf, ${d}_tcas, ${d}_flb, ${d}_lb, ${d}_blockcap,
+ ${d}_wmark, ${d}_buswmark) = _device_consts($dev)
+${d}_open = $dev._open_row
+${d}_bdf = [b.demand_free for b in $dev._banks]
+${d}_baf = [b.all_free for b in $dev._banks]
+${d}_udf = [b.demand_free for b in $dev._buses]
+${d}_uaf = [b.all_free for b in $dev._buses]
+${d}_rh = ${d}_bus = ${d}_byt = 0
+@@sites $d
+""",
+)
+
+# ``repro check``'s view of the templates: one device, any burst.
+_DEVICE = """
+def $name(dev):
+    @device(d=d, dev=dev)
+
+    def demand(now, bk, ch, row, burst, is_write):
+        @@nonlocal d
+        if is_write:
+            @demand(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=True, fixed=False, q=q, serv=serv, rowhit=row_hit)
+        else:
+            @demand(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=False, fixed=False, q=q, serv=serv, rowhit=row_hit)
+        return done, row_hit, q, float(serv)
+
+    def background(now, bk, ch, row, burst, is_write):
+        @@nonlocal d
+        if is_write:
+            @background(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=True, fixed=False, done=done)
+        else:
+            @background(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=False, fixed=False, done=done)
+        return done
+
+    def flush():
+        @@flush d dev
+
+    return demand, background, flush
+"""
+
+
+# ----------------------------------------------------------------------
+# Templates: tag stores, MissMap, victim buffer, MAP predictors
+# ----------------------------------------------------------------------
+# SetAssocCache.lookup with its policy's on_hit/on_miss; ``way`` is None
+# on a miss. DIP's PSEL lives in the local ``psel`` while a loop runs.
+_snippet(
+    "sa_lookup",
+    "addr i write",
+    """
+cset = sets[$i]
+way = cset.index_map.get($addr)
+if way is None:
+    st_m += 1
+#if policy == "dip"
+    r = $i % dp
+    if r == 0:
+        if psel < pmax:
+            psel += 1
+    elif r == 1:
+        if psel > 0:
+            psel -= 1
+#endif
+else:
+#if policy in ("lru", "dip") and not ways1
+    state = cset.policy_state
+    state.remove(way)
+    state.insert(0, way)
+#endif
+#if $write
+    cset.dirty[way] = True
+#endif
+#if warm
+    if not st_h:
+        hit_at = (st_m, st_f, st_ev, st_dev)
+#endif
+    st_h += 1
+""",
+)
+
+# SetAssocCache.fill (clean) with its policy's victim_way/on_insert.
+# ``ev_addr`` is the evicted line, -1 when nothing was evicted.
+_snippet(
+    "sa_fill",
+    "addr i",
+    """
+cset = sets[$i]
+ctags = cset.tags
+imap = cset.index_map
+way = imap.get($addr)
+ev_addr = -1
+ev_dirty = False
+if way is None:
+#if ways1
+    if ctags[0] == -1:
+        way = 0
+#else
+    if -1 in ctags:
+        way = ctags.index(-1)
+#endif
+    else:
+#if policy == "random"
+        @randbelow(n=rand_n, k=rand_k, out=way)
+#elif ways1
+        way = 0
+#else
+        way = cset.policy_state[-1]
+#endif
+        ev_addr = ctags[way]
+        ev_dirty = cset.dirty[way]
+        del imap[ev_addr]
+        st_ev += 1
+        if ev_dirty:
+            st_dev += 1
+    ctags[way] = $addr
+    imap[$addr] = way
+    cset.dirty[way] = False
+    st_f += 1
+#if policy == "dip"
+r = $i % dp
+#if ways1
+if r != 0 and (r == 1 or psel >= half):
+    @randbelow(n=bip_n, k=bip_k, out=x)
+#else
+state = cset.policy_state
+state.remove(way)
+if r == 0 or (r != 1 and psel < half):
+    state.insert(0, way)
+else:
+    @randbelow(n=bip_n, k=bip_k, out=x)
+    if x:
+        state.append(way)
+    else:
+        state.insert(0, way)
+#endif
+#elif policy == "lru" and not ways1
+state = cset.policy_state
+state.remove(way)
+state.insert(0, way)
+#endif
+""",
+)
+
+# Random.randrange(n) for n > 0, inline: the same getrandbits draws (and
+# the same generator state afterwards) as its _randbelow_with_getrandbits.
+_snippet(
+    "randbelow",
+    "n k out",
+    """
+$out = getrandbits($k)
+while $out >= $n:
+    $out = getrandbits($k)
+""",
+)
+
+# A set-associative store's locals (``cache`` names the SetAssocCache).
+_snippet(
+    "sa_setup",
+    "cache",
+    """
+sets = $cache._sets
+#if policy == "dip"
+pol = $cache.policy
+dp = pol.dueling_period
+pmax = pol.psel_max
+half = (pol.psel_max + 1) // 2
+bip_n = pol.bip_epsilon_inverse
+bip_k = bip_n.bit_length()
+psel = pol.psel
+getrandbits = pol._rng.getrandbits
+#elif policy == "random"
+pol = $cache.policy
+rand_n = $cache.ways
+rand_k = rand_n.bit_length()
+getrandbits = pol._rng.getrandbits
+#endif
+""",
+)
+
+_snippet(
+    "mm_setup",
+    "missmap",
+    """
+mm_present = $missmap._present
+mm_pop = $missmap._segment_population
+mm_pop_get = mm_pop.get
+mm_lps = LINES_PER_SEGMENT
+""",
+)
+
+# MissMap.insert / MissMap.remove.
+_snippet(
+    "mm_insert",
+    "addr",
+    """
+if $addr not in mm_present:
+    mm_present.add($addr)
+    seg = $addr // mm_lps
+    mm_pop[seg] = mm_pop_get(seg, 0) + 1
+""",
+)
+
+_snippet(
+    "mm_remove",
+    "addr",
+    """
+if $addr in mm_present:
+    mm_present.discard($addr)
+    seg = $addr // mm_lps
+    remaining = mm_pop[seg] - 1
+    if remaining:
+        mm_pop[seg] = remaining
+    else:
+        del mm_pop[seg]
+""",
+)
+
+# A direct-mapped array's warmup, as the MissMap that mirrors it sees it:
+# each changed set's new line is inserted, then its old line removed.
+_MISSMAP_SWAP = """
+def $name(missmap, olds, news):
+    @mm_setup(missmap=missmap)
+    for old, new in zip(olds, news):
+        @mm_insert(addr=new)
+        if old != -1:
+            @mm_remove(addr=old)
+"""
+
+# AlloyVictimDesign._stash_victim_functional: victims.fill(ev, dirty=ev_d)
+# on the buffer's single LRU set; a dirty line falling out is written back
+# (after warmup, the kernel writes it back first).
+_snippet(
+    "stash",
+    "ev ev_d",
+    """
+w2 = vimap.get($ev)
+if w2 is None:
+    if -1 in vtags:
+        w2 = vtags.index(-1)
+    else:
+        w2 = vstate[-1]
+        ov = vtags[w2]
+        del vimap[ov]
+        v_ev += 1
+        if vdirty[w2]:
+            v_dev += 1
+#if warm
+            overflow.append(ov)
+#else
+            push(heap, (now, seq, 1, ov, 0))
+            seq += 1
+#endif
+    vtags[w2] = $ev
+    vimap[$ev] = w2
+    vdirty[w2] = $ev_d
+    v_f += 1
+elif $ev_d:
+    vdirty[w2] = True
+vstate.remove(w2)
+vstate.insert(0, w2)
+""",
+)
+
+# AlloyVictimDesign._swap_back_functional: the buffered line returns to the
+# direct-mapped array, and the line it displaces goes to the buffer.
+_snippet(
+    "swap_back",
+    "addr i",
+    """
+vstate.remove(vway)
+vstate.insert(0, vway)
+#if warm
+if not v_h:
+    v_hit_at = (v_f, v_ev, v_dev)
+#endif
+v_h += 1
+was_d = vdirty[vway]
+del vimap[$addr]
+vtags[vway] = -1
+vdirty[vway] = False
+old = tags[$i]
+if old == $addr:
+    if was_d:
+        dirty[$i] = True
+elif old != -1:
+    disp_d = dirty[$i]
+    st_ev += 1
+    if disp_d:
+        st_dev += 1
+    tags[$i] = $addr
+    dirty[$i] = was_d
+    st_f += 1
+    @stash(ev=old, ev_d=disp_d)
+else:
+    tags[$i] = $addr
+    dirty[$i] = was_d
+    st_f += 1
+""",
+)
+
+# DirectMappedCache.fill (clean) for the Alloy array.
+_snippet(
+    "dm_fill",
+    "addr i",
+    """
+old = tags[$i]
+ev_addr = -1
+ev_dirty = False
+if old != $addr:
+    if old != -1:
+        ev_addr = old
+        ev_dirty = dirty[$i]
+        st_ev += 1
+        if ev_dirty:
+            st_dev += 1
+    tags[$i] = $addr
+    dirty[$i] = False
+    st_f += 1
+""",
+)
+
+# MemoryAccessPredictor.update for MAP-I (``row_m``/``i2`` bound) and MAP-G.
+_snippet(
+    "train",
+    "went",
+    """
+#if pred == "map-i"
+m2 = row_m[i2]
+#if $went
+row_m[i2] = m2 + 1 if m2 < mac_max else mac_max
+#else
+row_m[i2] = m2 - 1 if m2 > 0 else 0
+#endif
+#elif pred == "map-g"
+m2 = mac_g[ci]
+#if $went
+mac_g[ci] = m2 + 1 if m2 < mac_max else mac_max
+#else
+mac_g[ci] = m2 - 1 if m2 > 0 else 0
+#endif
+#endif
+""",
+)
+
+_snippet(
+    "predictor_setup",
+    "",
+    """
+predictor = design.predictor
+mac_max = MAC_MAX
+mac_msb = MAC_MSB_THRESHOLD
+#if pred == "map-i"
+mact = predictor._mact
+index_bits = predictor._index_bits
+#elif pred == "map-g"
+mac_g = predictor._mac
+#elif pred == "missmap"
+@mm_setup(missmap=predictor)
+#endif
+#if victim
+vset = design.victims._sets[0]
+vtags = vset.tags
+vdirty = vset.dirty
+vstate = vset.policy_state
+vimap = vset.index_map
+v_h = v_m = v_f = v_ev = v_dev = 0
+v_hit_at = ()
+#endif
+""",
+)
+
+
+# ----------------------------------------------------------------------
+# Templates: the kernel skeleton
+# ----------------------------------------------------------------------
+# Per family (``$family``), the skeleton expands ``<family>_setup`` (decode
+# and locals), ``<family>_write`` (a posted writeback), ``<family>_read``
+# (a demand read: sets ``done`` and ``lat``, appends the stage samples and
+# leaves the unattributed gap in ``gap``), ``<family>_events`` (its heap
+# events past the core and off-chip write events) and ``<family>_flush``.
+# The core-event prologue mirrors the interpreter's System._handle_core.
+_KERNEL = """
+def $name(system, starts, overflow):
     design = system.design
     memory = system.memory
     stacked = system.stacked
-    mdemand, mbg, mflush, _ = _device_fns(memory)
-    sdemand, sbg, sflush, _ = _device_fns(stacked)
-    predictor = design.predictor
-    dkind = design._pred_kind
-    if dkind == 3:
-        ptype = type(predictor)
-        pk = {MapIPredictor: 3, MapGPredictor: 4, SamPredictor: 5, PamPredictor: 6}[
-            ptype
-        ]
-    else:
-        pk = dkind  # 0 = none, 1 = MissMap, 2 = Perfect
-    A, G, W, P, D, base, nr, nw, a_np = _flatten(system, starts, pk == 3)
+#if family == "alloy" and pred == "map-i"
+    A, G, W, P, D, base, nr, nw, a_np = _flatten(system, starts, True)
+#else
+    A, G, W, P, D, base, nr, nw, a_np = _flatten(system, starts, False)
+#endif
     mb, mc, mr = _mem_decode(a_np, memory.mapping)
-    si_np = a_np % design._num_sets
-    SI = si_np.tolist()
-    sb, sc, sr = _row_decode(si_np // design._sets_per_row, stacked)
-    slot_np = si_np % design._sets_per_row
-    BU = np.asarray(design._burst_by_slot, dtype=np.int64)[slot_np].tolist()
-    IDX = _mact_indices(P, predictor._index_bits) if pk == 3 else None
-    mapping = memory.mapping
-    m_lpr = mapping.lines_per_row
-    m_ch = mapping.channels
-    m_banks = mapping.banks
-    mlb = memory.timings.line_burst
-    store = design.cache._store
-    # Multi-way Alloy keeps the TAD array in a SetAssocCache (always LRU,
-    # guarded in _select_kernel); direct-mapped uses the flat tag arrays.
-    mw = design.cache.ways != 1
-    if mw:
-        sets = store._sets
-        tags = dirty = None
-    else:
-        tags = store._tags
-        dirty = store._dirty
-    # The victim-buffer variant (always direct-mapped) layers a single-set
-    # LRU SetAssocCache probe over the read path.
-    victim = type(design) is AlloyVictimDesign
-    if victim:
-        vset = design.victims._sets[0]
-        vtags = vset.tags
-        vdirty = vset.dirty
-        vstate = vset.policy_state
-        vimap = vset.index_map
-    vhc = VICTIM_HIT_CYCLES
-    vhcf = float(VICTIM_HIT_CYCLES)
-    mact = predictor._mact if pk == 3 else None
-    mac_g = predictor._mac if pk == 4 else None
-    missmap = design._missmap
-    plat = design._pred_latency if dkind == 3 else 0
-    mml = design._missmap_latency
+    m_lpr = memory.mapping.lines_per_row
+    m_ch = memory.mapping.channels
+    m_banks = memory.mapping.banks
+    @device(d=m, dev=memory)
+#if family != "no_cache"
+    @device(d=s, dev=stacked)
+#endif
+    @${family}_setup()
     l3 = system._l3_latency
     wic = system._write_issue_cycles
+    eps = ATTRIBUTION_EPSILON
     num_cores = len(base) - 1
     ends = base[1:]
-    cur = list(base[:-1])
-    mshrs = system._mshrs
-    mlp = mshrs > 1
-    outst = [[] for _ in range(num_cores)] if mlp else None
+    cur = base[:-1]
     finish = [0.0] * num_cores
     last_read = [0.0] * num_cores
-    readlat, hitlat, misslat = array("d"), array("d"), array("d")
-    stq, stp, stt, std, stm = (
-        array("d"), array("d"), array("d"), array("d"), array("d")
-    )
-    unat = array("d")
-    ra, ha, ma = readlat.append, hitlat.append, misslat.append
-    qa, pa, ta, da, mma = stq.append, stp.append, stt.append, std.append, stm.append
-    ua = unat.append
-    eps = ATTRIBUTION_EPSILON
+#if mlp
+    mshrs = system._mshrs
+    outst = [[] for _ in range(num_cores)]
+#endif
+    readlat, unat = array("d"), array("d")
+    ra, ua = readlat.append, unat.append
+    n_mr = n_mw = n_wm = 0
     heap = []
     push = heappush
     pop = heappop
     seq = 0
-    if victim and system._heap:
-        # Warmup can overflow the victim buffer: each dirty casualty was
-        # scheduled as a _memory_write(t, addr) closure on the system heap
-        # (address captured as the lambda's default). The interpreter pops
-        # them at run start, before any core event — translate them, in
-        # pop order, ahead of the core start pushes.
-        for when, _, fn in sorted(system._heap):
-            push(heap, (when, seq, _EV_MEMWRITE, fn.__defaults__[0], 0))
-            seq += 1
-        system._heap.clear()
+#if victim
+    for addr in overflow:
+        push(heap, (0.0, seq, 1, addr, 0))
+        seq += 1
+#endif
     for ci in range(num_cores):
         if cur[ci] < ends[ci]:
             gap = G[cur[ci]]
-            push(heap, (gap if gap >= 0.0 else 0.0, seq, _EV_CORE, ci, 0))
+            push(heap, (gap if gap >= 0.0 else 0.0, seq, 0, ci, 0))
             seq += 1
     events = 0
     now = 0.0
-    dm_h = dm_m = dm_f = n_evict = n_devict = 0
-    pm = pc_ = 0  # predictor _note tallies
-    s_mm = s_mc = s_cm = s_cc = 0  # Table 5 scenarios
-    n_mr = n_mw = n_wh = n_wm = n_trh = n_wasted = n_fills = 0
-    n_vhit = v_h = v_m = v_f = v_evict = v_devict = 0
-
-    if victim:
-
-        def stash(ev_a, ev_d, tnow):
-            # _stash_victim_functional inlined: victims.fill(ev_a, ev_d)
-            # on the single LRU set, plus the dirty-overflow writeback.
-            nonlocal seq, v_f, v_evict, v_devict
-            w = vimap.get(ev_a)
-            if w is None:
-                ov_addr = -1
-                ov_dirty = False
-                if -1 in vtags:
-                    w = vtags.index(-1)
-                else:
-                    w = vstate[-1]
-                    ov_addr = vtags[w]
-                    ov_dirty = vdirty[w]
-                    del vimap[ov_addr]
-                    v_evict += 1
-                    if ov_dirty:
-                        v_devict += 1
-                vtags[w] = ev_a
-                vimap[ev_a] = w
-                vdirty[w] = ev_d
-                v_f += 1
-                if ov_dirty:
-                    push(heap, (tnow, seq, _EV_MEMWRITE, ov_addr, 0))
-                    seq += 1
-            elif ev_d:
-                vdirty[w] = True
-            vstate.remove(w)
-            vstate.insert(0, w)
-
     while heap:
         now, _, kind, a, b = pop(heap)
         events += 1
         if kind == 0:
             ci = a
-            if mlp:
-                # MLP prologue (interpreter's _handle_core): retire finished
-                # reads, stall on a full MSHR file or a dependent read whose
-                # producer is still in flight. Each stall is a reschedule —
-                # a separate heap pop, like the interpreter's.
-                out = outst[ci]
-                if out:
-                    out = [t for t in out if t > now]
-                    outst[ci] = out
-                    if len(out) >= mshrs:
-                        push(heap, (min(out), seq, _EV_CORE, ci, 0))
-                        seq += 1
-                        continue
-                if D[cur[ci]] and last_read[ci] > now:
-                    push(heap, (last_read[ci], seq, _EV_CORE, ci, 0))
+#if mlp
+            # Retire finished reads; stall on a full MSHR file or on a
+            # dependent read whose producer is still in flight. Each stall
+            # is a reschedule, a separate heap pop like the interpreter's.
+            out = outst[ci]
+            if out:
+                out = outst[ci] = list(filter(now.__lt__, out))
+                if len(out) >= mshrs:
+                    push(heap, (min(out), seq, 0, ci, 0))
                     seq += 1
                     continue
-            g = cur[ci]
-            addr = A[g]
-            i = SI[g]
-            if W[g]:
-                if mw:
-                    cset = sets[i]
-                    way = cset.index_map.get(addr)
-                    if way is not None:
-                        state = cset.policy_state
-                        state.remove(way)
-                        state.insert(0, way)
-                        cset.dirty[way] = True
-                        hit_w = True
-                    else:
-                        hit_w = False
-                elif tags[i] == addr:
-                    dirty[i] = True
-                    hit_w = True
-                else:
-                    hit_w = False
-                if hit_w:
-                    dm_h += 1
-                    n_wh += 1
-                    hit_flag = 1
-                else:
-                    dm_m += 1
-                    n_wm += 1
-                    hit_flag = 0
-                push(heap, (now, seq, _EV_WTRAFFIC, g, hit_flag))
+            if D[cur[ci]] and last_read[ci] > now:
+                push(heap, (last_read[ci], seq, 0, ci, 0))
                 seq += 1
+                continue
+#endif
+            g = cur[ci]
+            if W[g]:
+                @${family}_write()
                 anchor = completed = now + wic
             else:
                 arrival = now + l3
-                if victim:
-                    vway = vimap.get(addr)
-                    if vway is None:
-                        v_m += 1
-                    else:
-                        # SRAM victim-buffer hit: fixed-latency service, no
-                        # DRAM/predictor probe; the line swaps back into the
-                        # TAD array and the displaced occupant is stashed.
-                        vstate.remove(vway)
-                        vstate.insert(0, vway)
-                        v_h += 1
-                        n_vhit += 1
-                        s_cc += 1
-                        done = arrival + vhc
-                        lat = done - arrival
-                        ha(lat)
-                        qa(0.0)
-                        pa(0.0)
-                        ta(0.0)
-                        da(vhcf)
-                        mma(0.0)
-                        if pk == 3:
-                            row_m = mact[ci]
-                            i2 = IDX[g]
-                            m2 = row_m[i2]
-                            row_m[i2] = m2 - 1 if m2 > 0 else 0
-                        elif pk == 4:
-                            m2 = mac_g[ci]
-                            mac_g[ci] = m2 - 1 if m2 > 0 else 0
-                        # _swap_back_functional: victims.invalidate, then
-                        # DirectMappedCache.fill(addr, dirty=was_d).
-                        was_d = vdirty[vway]
-                        del vimap[addr]
-                        vtags[vway] = -1
-                        vdirty[vway] = False
-                        old = tags[i]
-                        if old == addr:
-                            if was_d:
-                                dirty[i] = True
-                        else:
-                            if old != -1:
-                                disp_d = dirty[i]
-                                n_evict += 1
-                                if disp_d:
-                                    n_devict += 1
-                                tags[i] = addr
-                                dirty[i] = was_d
-                                dm_f += 1
-                                stash(old, disp_d, now)
-                            else:
-                                tags[i] = addr
-                                dirty[i] = was_d
-                                dm_f += 1
-                        push(heap, (arrival, seq, _EV_STACKWRITE, g, 0))
-                        seq += 1
-                        ra(lat)
-                        gap = lat - vhcf
-                        if gap < 0.0:
-                            gap = -gap
-                        ua(gap if gap > eps else 0.0)
-                        completed = done if done >= arrival else arrival
-                        if mlp:
-                            outst[ci].append(completed)
-                            anchor = now
-                        else:
-                            anchor = completed
-                        if completed > last_read[ci]:
-                            last_read[ci] = completed
-                        if completed > finish[ci]:
-                            finish[ci] = completed
-                        g += 1
-                        cur[ci] = g
-                        if g < ends[ci]:
-                            nxt = anchor + G[g]
-                            push(
-                                heap,
-                                (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0),
-                            )
-                            seq += 1
-                        continue
-                if mw:
-                    cset = sets[i]
-                    way = cset.index_map.get(addr)
-                    hit = way is not None
-                    if hit:
-                        state = cset.policy_state
-                        state.remove(way)
-                        state.insert(0, way)
-                        dm_h += 1
-                    else:
-                        dm_m += 1
-                elif tags[i] == addr:
-                    hit = True
-                    dm_h += 1
-                else:
-                    hit = False
-                    dm_m += 1
-                if pk == 3:
-                    row_m = mact[ci]
-                    i2 = IDX[g]
-                    p = row_m[i2] >= 4
-                    if p:
-                        pm += 1
-                    else:
-                        pc_ += 1
-                    pready = arrival + plat
-                elif pk == 4:
-                    p = mac_g[ci] >= 4
-                    if p:
-                        pm += 1
-                    else:
-                        pc_ += 1
-                    pready = arrival + plat
-                elif pk == 5:
-                    p = False
-                    pc_ += 1
-                    pready = arrival + plat
-                elif pk == 6:
-                    p = True
-                    pm += 1
-                    pready = arrival + plat
-                elif pk == 1:
-                    p = not hit
-                    pready = arrival + mml
-                elif pk == 2:
-                    p = not hit
-                    if p:
-                        pm += 1
-                    else:
-                        pc_ += 1
-                    pready = arrival
-                else:
-                    p = False
-                    pready = arrival
-                if p:
-                    if hit:
-                        s_mc += 1
-                    else:
-                        s_mm += 1
-                elif hit:
-                    s_cc += 1
-                else:
-                    s_cm += 1
-                pd = pready - arrival
-                done_t, rh_t, q_t, serv_t = sdemand(
-                    pready, sb[g], sc[g], sr[g], BU[g], False
-                )
-                if rh_t:
-                    n_trh += 1
-                if hit:
-                    if p:
-                        n_mr += 1
-                        mdemand(pready, mb[g], mc[g], mr[g], mlb, False)
-                        n_wasted += 1
-                    done = done_t
-                    lat = done - arrival
-                    ha(lat)
-                    qa(q_t)
-                    pa(pd)
-                    ta(0.0)
-                    da(serv_t)
-                    mma(0.0)
-                    gap = lat - (q_t + pd + serv_t)
-                    if pk == 3:
-                        m2 = row_m[i2]
-                        row_m[i2] = m2 - 1 if m2 > 0 else 0
-                    elif pk == 4:
-                        m2 = mac_g[ci]
-                        mac_g[ci] = m2 - 1 if m2 > 0 else 0
-                else:
-                    n_mr += 1
-                    if p:  # PAM: parallel memory access
-                        done_m, _, q_m, serv_m = mdemand(
-                            pready, mb[g], mc[g], mr[g], mlb, False
-                        )
-                        done = done_m if done_m >= done_t else done_t
-                        lat = done - arrival
-                        if done_t > done_m:
-                            qa(q_t)
-                            pa(pd)
-                            ta(serv_t)
-                            da(0.0)
-                            mma(0.0)
-                            gap = lat - (q_t + pd + serv_t)
-                        else:
-                            qa(q_m)
-                            pa(pd)
-                            ta(0.0)
-                            da(0.0)
-                            mma(serv_m)
-                            gap = lat - (q_m + pd + serv_m)
-                    else:  # SAM: serialized after the probe
-                        done, _, q_m, serv_m = mdemand(
-                            done_t, mb[g], mc[g], mr[g], mlb, False
-                        )
-                        lat = done - arrival
-                        q = q_t + q_m
-                        qa(q)
-                        pa(pd)
-                        ta(serv_t)
-                        da(0.0)
-                        mma(serv_m)
-                        gap = lat - (q + pd + serv_t + serv_m)
-                    ma(lat)
-                    if pk == 3:
-                        m2 = row_m[i2]
-                        row_m[i2] = m2 + 1 if m2 < 7 else 7
-                    elif pk == 4:
-                        m2 = mac_g[ci]
-                        mac_g[ci] = m2 + 1 if m2 < 7 else 7
-                    push(heap, (done, seq, _EV_FILL, g, 0))
-                    seq += 1
+                @${family}_read()
                 ra(lat)
                 if gap < 0.0:
                     gap = -gap
                 ua(gap if gap > eps else 0.0)
                 completed = done if done >= arrival else arrival
-                if mlp:
-                    # Compute overlaps the outstanding miss: the next record
-                    # issues relative to now, not the read's completion.
-                    outst[ci].append(completed)
-                    anchor = now
-                else:
-                    anchor = completed
+#if mlp
+                # Compute overlaps the outstanding miss: the next record
+                # issues relative to now, not the read's completion.
+                outst[ci].append(completed)
+                anchor = now
+#else
+                anchor = completed
+#endif
                 if completed > last_read[ci]:
                     last_read[ci] = completed
             if completed > finish[ci]:
@@ -2458,114 +1509,950 @@ def _run_alloy(system, starts):
             cur[ci] = g
             if g < ends[ci]:
                 nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, _EV_CORE, ci, 0))
+                push(heap, (nxt if nxt >= now else now, seq, 0, ci, 0))
                 seq += 1
-        elif kind == 1:  # _EV_MEMWRITE
+        elif kind == 1:
             n_mw += 1
             chunk = a // m_lpr
             ch = chunk % m_ch
             per = chunk // m_ch
-            mbg(now, ch * m_banks + per % m_banks, ch, per // m_banks, mlb, True)
-        elif kind == 2:  # _EV_FILL (cache fill + replacement inlined)
-            addr2 = A[a]
-            i = SI[a]
-            ev_valid = False
-            ev_dirty = False
-            old = -1
-            if mw:
-                # SetAssocCache.fill + LRU on_insert (both branches).
-                cset = sets[i]
-                ctags = cset.tags
-                imap = cset.index_map
-                way = imap.get(addr2)
-                if way is None:
-                    if -1 in ctags:
-                        way = ctags.index(-1)
-                    else:
-                        way = cset.policy_state[-1]
-                        old = ctags[way]
-                        ev_valid = True
-                        ev_dirty = cset.dirty[way]
-                        del imap[old]
-                        n_evict += 1
-                        if ev_dirty:
-                            n_devict += 1
-                    ctags[way] = addr2
-                    imap[addr2] = way
-                    cset.dirty[way] = False
-                    dm_f += 1
-                state = cset.policy_state
-                state.remove(way)
-                state.insert(0, way)
-            else:
-                # DirectMappedCache.fill inlined.
-                old = tags[i]
-                if old != addr2:
-                    if old != -1:
-                        ev_valid = True
-                        ev_dirty = dirty[i]
-                        n_evict += 1
-                        if ev_dirty:
-                            n_devict += 1
-                    tags[i] = addr2
-                    dirty[i] = False
-                    dm_f += 1
-            if missmap is not None:
-                missmap.insert(addr2)
-                if ev_valid:
-                    missmap.remove(old)
-            if victim:
-                # Displaced lines (clean or dirty) go to the victim buffer
-                # instead of straight to memory.
-                if ev_valid:
-                    stash(old, ev_dirty, now)
-            elif ev_dirty:
-                push(heap, (now, seq, _EV_MEMWRITE, old, 0))
-                seq += 1
-            sbg(now, sb[a], sc[a], sr[a], BU[a], True)
-            n_fills += 1
-        elif kind == 3:  # _EV_STACKWRITE (victim swap-back TAD refill)
-            sbg(now, sb[a], sc[a], sr[a], BU[a], True)
-        else:  # _EV_WTRAFFIC: probe the TAD, then write it or go to memory
-            probe_done = sbg(now, sb[a], sc[a], sr[a], BU[a], False)
-            if b:
-                sbg(probe_done, sb[a], sc[a], sr[a], BU[a], True)
-            else:
-                n_mw += 1
-                mbg(probe_done, mb[a], mc[a], mr[a], mlb, True)
+            bk = ch * m_banks + per % m_banks
+            row = per // m_banks
+            @background(d=m, now=now, burst=m_lb, bytes=m_flb)
+        @${family}_events()
     stats = design.stats
-    mflush()
-    sflush()
-    _flush(stats, _SCENARIO_KEYS[(True, True)], s_mm)
-    _flush(stats, _SCENARIO_KEYS[(True, False)], s_mc)
-    _flush(stats, _SCENARIO_KEYS[(False, True)], s_cm)
-    _flush(stats, _SCENARIO_KEYS[(False, False)], s_cc)
-    _flush(stats, "tad_row_hits", n_trh)
-    _flush(stats, "wasted_memory_reads", n_wasted)
-    _flush(stats, "write_hits", n_wh)
+    @@flush m memory
+#if family != "no_cache"
+    @@flush s stacked
+#endif
     _flush(stats, "write_misses", n_wm)
     _flush(stats, "memory_reads", n_mr)
     _flush(stats, "memory_writes", n_mw)
-    _flush(stats, "fills", n_fills)
-    _flush(store.stats, "hits", dm_h)
-    _flush(store.stats, "misses", dm_m)
-    _flush(store.stats, "fills", dm_f)
-    _flush(store.stats, "evictions", n_evict)
-    _flush(store.stats, "dirty_evictions", n_devict)
-    if victim:
-        _flush(stats, "victim_hits", n_vhit)
-        vstats = design.victims.stats
-        _flush(vstats, "hits", v_h)
-        _flush(vstats, "misses", v_m)
-        _flush(vstats, "fills", v_f)
-        _flush(vstats, "evictions", v_evict)
-        _flush(vstats, "dirty_evictions", v_devict)
-    if pk >= 2:  # kinds with a _note()-tracking predictor
-        predictor.predicted_memory += pm
-        predictor.predicted_cache += pc_
-    _writeback_reads(
-        design, readlat, hitlat, misslat, (stq, stp, stt, std, stm), unat
-    )
+    @${family}_flush()
     _finish_cores(system, finish, last_read, nr, nw)
     system.events_processed += events
     system.now = now
+"""
+
+# An off-chip demand read of record ``g`` at ``now``.
+_snippet(
+    "memory_read",
+    "now done=done q=_ serv=_",
+    """
+bk = mb[g]
+ch = mc[g]
+row = mr[g]
+@demand(d=m, now=$now, burst=m_lb, bytes=m_flb, done=$done, q=$q, serv=$serv)
+""",
+)
+
+# A stacked access to record ``g``'s (or event record ``a``'s) row.
+_snippet(
+    "stacked_row",
+    "at",
+    """
+bk = sb[$at]
+ch = sc[$at]
+row = sr[$at]
+""",
+)
+
+# ---- no-cache: every read goes off-chip -------------------------------
+_snippet(
+    "no_cache_setup",
+    "",
+    """
+# The predictor/tag/data stages are identically zero.
+stq, stm = array("d"), array("d")
+qa, mma = stq.append, stm.append
+""",
+)
+
+_snippet(
+    "no_cache_write",
+    "",
+    """
+n_wm += 1
+push(heap, (now, seq, 1, A[g], 0))
+seq += 1
+""",
+)
+
+_snippet(
+    "no_cache_read",
+    "",
+    """
+n_mr += 1
+@memory_read(now=arrival, q=q, serv=serv)
+lat = done - arrival
+qa(q)
+mma(serv)
+gap = lat - (q + serv)
+""",
+)
+
+_snippet("no_cache_events", "", "")
+
+_snippet(
+    "no_cache_flush",
+    "",
+    """
+zeros = np.zeros(len(readlat))
+_writeback_reads(
+    design, readlat, (), readlat, (stq, zeros, zeros, zeros, stm), unat
+)
+""",
+)
+
+# ---- IDEAL-LO: direct-mapped tags, free tag checks --------------------
+_snippet(
+    "ideal_lo_setup",
+    "",
+    """
+store = design.cache
+si_np = a_np % store.num_sets
+SI = si_np.tolist()
+sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
+tags = store._tags
+dirty = store._dirty
+st_h = st_m = st_f = st_ev = st_dev = 0
+n_wh = n_drh = n_fills = 0
+# The predictor and tag stages are identically zero.
+hitlat, misslat = array("d"), array("d")
+stq, std, stm = array("d"), array("d"), array("d")
+ha, ma = hitlat.append, misslat.append
+qa, da, mma = stq.append, std.append, stm.append
+""",
+)
+
+_snippet(
+    "ideal_lo_write",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+if tags[i] == addr:
+    dirty[i] = True
+    st_h += 1
+    n_wh += 1
+    push(heap, (now, seq, 3, g, 0))
+else:
+    st_m += 1
+    n_wm += 1
+    push(heap, (now, seq, 1, addr, 0))
+seq += 1
+""",
+)
+
+_snippet(
+    "ideal_lo_read",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+if tags[i] == addr:
+    st_h += 1
+    @stacked_row(at=g)
+    @demand(d=s, now=arrival, burst=s_lb, bytes=s_flb, q=q, serv=serv, hits=n_drh)
+    lat = done - arrival
+    ha(lat)
+    qa(q)
+    da(serv)
+    mma(0.0)
+else:
+    st_m += 1
+    n_mr += 1
+    @memory_read(now=arrival, q=q, serv=serv)
+    push(heap, (done if done >= now else now, seq, 2, g, 0))
+    seq += 1
+    lat = done - arrival
+    ma(lat)
+    qa(q)
+    da(0.0)
+    mma(serv)
+gap = lat - (q + serv)
+""",
+)
+
+_snippet(
+    "ideal_lo_events",
+    "",
+    """
+elif kind == 2:
+    # DirectMappedCache.fill; a dirty victim is read out, then written back.
+    addr = A[a]
+    i = SI[a]
+    old = tags[i]
+    t = now
+    @stacked_row(at=a)
+    if old != addr:
+        if old != -1:
+            st_ev += 1
+            if dirty[i]:
+                st_dev += 1
+                @background(d=s, now=t, burst=s_lb, bytes=s_flb, write=False, done=vdone)
+                push(heap, (vdone if vdone >= now else now, seq, 1, old, 0))
+                seq += 1
+                t = vdone
+        tags[i] = addr
+        dirty[i] = False
+        st_f += 1
+    @background(d=s, now=t, burst=s_lb, bytes=s_flb)
+    n_fills += 1
+else:
+    @stacked_row(at=a)
+    @background(d=s, now=now, burst=s_lb, bytes=s_flb)
+""",
+)
+
+_snippet(
+    "ideal_lo_flush",
+    "",
+    """
+_flush(stats, "row_hits", n_drh)
+_flush(stats, "write_hits", n_wh)
+_flush(stats, "fills", n_fills)
+@store_flush(stats=store.stats)
+zeros = np.zeros(len(readlat))
+_writeback_reads(
+    design, readlat, hitlat, misslat, (stq, zeros, zeros, std, stm), unat
+)
+""",
+)
+
+_snippet(
+    "store_flush",
+    "stats",
+    """
+_flush($stats, "hits", st_h)
+_flush($stats, "misses", st_m)
+_flush($stats, "fills", st_f)
+_flush($stats, "evictions", st_ev)
+_flush($stats, "dirty_evictions", st_dev)
+""",
+)
+
+# ---- SRAM-Tag: SRAM tag lookup, then data or memory -------------------
+_snippet(
+    "sram_setup",
+    "",
+    """
+tags_cache = design.tags
+si_np = a_np % tags_cache.num_sets
+SI = si_np.tolist()
+sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
+@sa_setup(cache=tags_cache)
+tsl = design.config.sram_tag_latency
+tslf = float(tsl)
+st_h = st_m = st_f = st_ev = st_dev = 0
+n_wh = n_vr = n_fills = 0
+# The predictor stage is identically zero and the tag stage the TSL.
+hitlat, misslat = array("d"), array("d")
+stq, std, stm = array("d"), array("d"), array("d")
+ha, ma = hitlat.append, misslat.append
+qa, da, mma = stq.append, std.append, stm.append
+""",
+)
+
+_snippet(
+    "sram_write",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+t_tag = now + tsl
+@sa_lookup(addr=addr, i=i, write=True)
+if way is None:
+    n_wm += 1
+    push(heap, (t_tag, seq, 1, addr, 0))
+else:
+    n_wh += 1
+    push(heap, (t_tag, seq, 3, g, 0))
+seq += 1
+""",
+)
+
+_snippet(
+    "sram_read",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+t_tag = arrival + tsl
+@sa_lookup(addr=addr, i=i, write=False)
+if way is None:
+    n_mr += 1
+    @memory_read(now=t_tag, q=q, serv=serv)
+    push(heap, (done, seq, 2, g, 0))
+    seq += 1
+    lat = done - arrival
+    ma(lat)
+    da(0.0)
+    mma(serv)
+else:
+    @stacked_row(at=g)
+    @demand(d=s, now=t_tag, burst=s_lb, bytes=s_flb, q=q, serv=serv)
+    lat = done - arrival
+    ha(lat)
+    da(serv)
+    mma(0.0)
+qa(q)
+gap = lat - (q + tslf + serv)
+""",
+)
+
+_snippet(
+    "sram_events",
+    "",
+    """
+elif kind == 2:
+    # SetAssocCache.fill; a dirty victim is read out before the fill write.
+    addr = A[a]
+    i = SI[a]
+    @sa_fill(addr=addr, i=i)
+    @stacked_row(at=a)
+    if ev_dirty:
+        @background(d=s, now=now, burst=s_lb, bytes=s_flb, write=False, done=vdone)
+        n_vr += 1
+        push(heap, (vdone, seq, 1, ev_addr, 0))
+        seq += 1
+        @background(d=s, now=vdone, burst=s_lb, bytes=s_flb, chained=True)
+    else:
+        @background(d=s, now=now, burst=s_lb, bytes=s_flb)
+    n_fills += 1
+else:
+    @stacked_row(at=a)
+    @background(d=s, now=now, burst=s_lb, bytes=s_flb)
+""",
+)
+
+_snippet(
+    "sram_flush",
+    "",
+    """
+_flush(stats, "write_hits", n_wh)
+_flush(stats, "victim_reads", n_vr)
+_flush(stats, "fills", n_fills)
+@store_flush(stats=tags_cache.stats)
+#if policy == "dip"
+pol.psel = psel
+#endif
+n = len(readlat)
+_writeback_reads(
+    design, readlat, hitlat, misslat,
+    (stq, np.zeros(n), np.full(n, tslf), std, stm), unat
+)
+""",
+)
+
+# ---- LH-Cache: MissMap, then tags-in-DRAM compound accesses -----------
+_snippet(
+    "lh_setup",
+    "",
+    """
+tags_cache = design.tags
+si_np = a_np % tags_cache.num_sets
+SI = si_np.tolist()
+sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
+@sa_setup(cache=tags_cache)
+missmap = design.missmap
+@mm_setup(missmap=missmap)
+mml = design._missmap_latency
+mmlf = design._missmap_latency_f
+tag_b = design._tag_burst_v
+lb = design._line_burst_v
+ub = design._update_burst_v
+tag_bytes = int(tag_b * LINE_SIZE / s_lb)
+lb_bytes = int(lb * LINE_SIZE / s_lb)
+ub_bytes = int(ub * LINE_SIZE / s_lb)
+tcc = TAG_CHECK_CYCLES
+st_h = st_m = st_f = st_ev = st_dev = 0
+n_mmh = n_mmm = 0
+n_wh = n_vr = n_fills = n_reopen = n_upd = 0
+# The predictor stage is identically the MissMap latency.
+hitlat, misslat = array("d"), array("d")
+stq, stt, std, stm = array("d"), array("d"), array("d"), array("d")
+ha, ma = hitlat.append, misslat.append
+qa, ta, da, mma = stq.append, stt.append, std.append, stm.append
+""",
+)
+
+# MissMap.contains, then the tag lookup it must agree with.
+_snippet(
+    "lh_lookup",
+    "write",
+    """
+present = addr in mm_present
+if present:
+    n_mmh += 1
+else:
+    n_mmm += 1
+i = SI[g]
+@sa_lookup(addr=addr, i=i, write=$write)
+assert present == (way is not None), "MissMap diverged from the tag array"
+""",
+)
+
+_snippet(
+    "lh_write",
+    "",
+    """
+addr = A[g]
+t0 = now + mml
+@lh_lookup(write=True)
+if way is None:
+    n_wm += 1
+    push(heap, (t0, seq, 1, addr, 0))
+else:
+    n_wh += 1
+    push(heap, (t0, seq, 5, g, 0))
+seq += 1
+""",
+)
+
+_snippet(
+    "lh_read",
+    "",
+    """
+addr = A[g]
+t0 = arrival + mml
+@lh_lookup(write=False)
+if way is None:
+    n_mr += 1
+    @memory_read(now=t0, q=q, serv=serv)
+    push(heap, (done, seq, 2, g, 0))
+    seq += 1
+    lat = done - arrival
+    ma(lat)
+    qa(q)
+    ta(0.0)
+    da(0.0)
+    mma(serv)
+    gap = lat - (q + mmlf + serv)
+else:
+    # Compound access: tag lines, tag check, then the data line from the
+    # row the tag read opened (and the replacement-state update).
+    @stacked_row(at=g)
+    @demand(d=s, now=t0, burst=tag_b, bytes=tag_bytes, done=done_t, q=q_t, serv=serv_t)
+    t_stage = serv_t + tcc
+    t_data = done_t + tcc
+    @demand(d=s, now=t_data, burst=lb, bytes=lb_bytes, chained=True, q=q_d, serv=serv)
+#if not s_open_page
+    n_reopen += 1
+#endif
+#if update
+    @demand(d=s, now=done, burst=ub, bytes=ub_bytes, write=True, chained=True, done=_)
+    n_upd += 1
+#endif
+    lat = done - arrival
+    ha(lat)
+    q = q_t + q_d
+    qa(q)
+    ta(t_stage)
+    da(serv)
+    mma(0.0)
+    gap = lat - (q + mmlf + t_stage + serv)
+""",
+)
+
+_snippet(
+    "lh_events",
+    "",
+    """
+elif kind == 2:
+    # Fill: tag read, SetAssocCache.fill, a dirty victim read, the data
+    # write and the tag-line update, all in the request's row.
+    addr = A[a]
+    @stacked_row(at=a)
+    @background(d=s, now=now, burst=tag_b, bytes=tag_bytes, write=False, done=t)
+    i = SI[a]
+    @sa_fill(addr=addr, i=i)
+    @mm_insert(addr=addr)
+    t += tcc
+    if ev_addr != -1:
+        @mm_remove(addr=ev_addr)
+        if ev_dirty:
+            @background(d=s, now=t, burst=lb, bytes=lb_bytes, write=False, chained=True, done=t_victim)
+            n_vr += 1
+            push(heap, (t_victim, seq, 1, ev_addr, 0))
+            seq += 1
+            t = t_victim
+    @background(d=s, now=t, burst=lb, bytes=lb_bytes, chained=True, done=t_data)
+    @background(d=s, now=t_data, burst=lb, bytes=lb_bytes, chained=True)
+    n_fills += 1
+else:
+    # Write-hit traffic: tag read, then the data write.
+    @stacked_row(at=a)
+    @background(d=s, now=now, burst=tag_b, bytes=tag_bytes, write=False, done=t)
+    t += tcc
+    @background(d=s, now=t, burst=lb, bytes=lb_bytes, chained=True)
+""",
+)
+
+_snippet(
+    "lh_flush",
+    "",
+    """
+_flush(stats, "compound_row_reopens", n_reopen)
+_flush(stats, "replacement_updates", n_upd)
+_flush(stats, "write_hits", n_wh)
+_flush(stats, "victim_reads", n_vr)
+_flush(stats, "fills", n_fills)
+@store_flush(stats=tags_cache.stats)
+#if policy == "dip"
+pol.psel = psel
+#endif
+_flush(missmap.stats, "lookups", n_mmh + n_mmm)
+_flush(missmap.stats, "predicted_hits", n_mmh)
+_flush(missmap.stats, "predicted_misses", n_mmm)
+_writeback_reads(
+    design, readlat, hitlat, misslat,
+    (stq, np.full(len(readlat), mmlf), stt, std, stm), unat
+)
+""",
+)
+
+# ---- Alloy: one TAD stream per access, a memory access predictor -------
+_snippet(
+    "alloy_setup",
+    "",
+    """
+si_np = a_np % design._num_sets
+SI = si_np.tolist()
+sb, sc, sr = _row_decode(si_np // design._sets_per_row, stacked)
+slot_np = si_np % design._sets_per_row
+BU = np.asarray(design._burst_by_slot, dtype=np.int64)[slot_np].tolist()
+tad_bytes = {b: int(b * LINE_SIZE / s_lb) for b in design._burst_by_slot}
+@predictor_setup()
+#if pred == "map-i"
+IDX = _mact_indices(P, index_bits)
+#endif
+#if pred in ("map-i", "map-g", "sam", "pam")
+plat = design._pred_latency
+#elif pred == "missmap"
+mml = design._missmap_latency
+#endif
+store = design.cache._store
+#if ways1
+tags = store._tags
+dirty = store._dirty
+#else
+@sa_setup(cache=store)
+#endif
+#if victim
+vhc = VICTIM_HIT_CYCLES
+vhcf = float(VICTIM_HIT_CYCLES)
+n_vhit = 0
+#endif
+st_h = st_m = st_f = st_ev = st_dev = 0
+pm = pc_ = 0
+s_mm = s_mc = s_cm = s_cc = 0
+n_wh = n_trh = n_wasted = n_fills = 0
+hitlat, misslat = array("d"), array("d")
+stq, stp, stt, std, stm = (
+    array("d"), array("d"), array("d"), array("d"), array("d")
+)
+ha, ma = hitlat.append, misslat.append
+qa, pa, ta, da, mma = stq.append, stp.append, stt.append, std.append, stm.append
+""",
+)
+
+_snippet(
+    "alloy_write",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+#if ways1
+if tags[i] == addr:
+    dirty[i] = True
+    st_h += 1
+#else
+@sa_lookup(addr=addr, i=i, write=True)
+if way is not None:
+#endif
+    n_wh += 1
+    push(heap, (now, seq, 4, g, 1))
+else:
+#if ways1
+    st_m += 1
+#endif
+    n_wm += 1
+    push(heap, (now, seq, 4, g, 0))
+seq += 1
+""",
+)
+
+_snippet(
+    "alloy_read",
+    "",
+    """
+addr = A[g]
+i = SI[g]
+#if pred == "map-i"
+row_m = mact[ci]
+i2 = IDX[g]
+#endif
+#if victim
+vway = vimap.get(addr)
+if vway is not None:
+    # SRAM victim-buffer hit: fixed-latency service, no DRAM or predictor
+    # probe; the line swaps back into the TAD array in the background.
+    n_vhit += 1
+    s_cc += 1
+    done = arrival + vhc
+    lat = done - arrival
+    ha(lat)
+    qa(0.0)
+    pa(0.0)
+    ta(0.0)
+    da(vhcf)
+    mma(0.0)
+    @train(went=False)
+    @swap_back(addr=addr, i=i)
+    push(heap, (arrival, seq, 3, g, 0))
+    seq += 1
+    gap = lat - vhcf
+else:
+    v_m += 1
+    @alloy_array_read()
+#else
+@alloy_array_read()
+#endif
+""",
+)
+
+_snippet(
+    "alloy_array_read",
+    "",
+    """
+#if ways1
+hit = tags[i] == addr
+#else
+@sa_lookup(addr=addr, i=i, write=False)
+hit = way is not None
+#endif
+#if pred == "map-i"
+p = row_m[i2] >= mac_msb
+#elif pred == "map-g"
+p = mac_g[ci] >= mac_msb
+#elif pred in ("missmap", "perfect")
+p = not hit
+#elif pred == "pam"
+p = True
+#else
+p = False
+#endif
+#if pred in ("map-i", "map-g", "perfect")
+if p:
+    pm += 1
+else:
+    pc_ += 1
+#elif pred == "pam"
+pm += 1
+#elif pred == "sam"
+pc_ += 1
+#endif
+#if pred in ("map-i", "map-g", "sam", "pam")
+pready = arrival + plat
+#elif pred == "missmap"
+pready = arrival + mml
+#else
+pready = arrival
+#endif
+pd = pready - arrival
+@stacked_row(at=g)
+bu = BU[g]
+@demand(d=s, now=pready, burst=bu, bytes=tad_bytes[bu], fixed=False, done=done_t, q=q_t, serv=serv_t, hits=n_trh)
+if hit:
+#if ways1
+    st_h += 1
+#endif
+    if p:
+        s_mc += 1
+        # A wasted parallel memory read: bandwidth only.
+        n_mr += 1
+        @memory_read(now=pready, done=_)
+        n_wasted += 1
+    else:
+        s_cc += 1
+    done = done_t
+    lat = done - arrival
+    ha(lat)
+    qa(q_t)
+    pa(pd)
+    ta(0.0)
+    da(serv_t)
+    mma(0.0)
+    gap = lat - (q_t + pd + serv_t)
+    @train(went=False)
+else:
+#if ways1
+    st_m += 1
+#endif
+    n_mr += 1
+    if p:
+        # PAM: memory in parallel; its data waits for the tag check.
+        s_mm += 1
+        @memory_read(now=pready, done=done_m, q=q_m, serv=serv_m)
+        done = done_m if done_m >= done_t else done_t
+        lat = done - arrival
+        if done_t > done_m:
+            qa(q_t)
+            pa(pd)
+            ta(serv_t)
+            da(0.0)
+            mma(0.0)
+            gap = lat - (q_t + pd + serv_t)
+        else:
+            qa(q_m)
+            pa(pd)
+            ta(0.0)
+            da(0.0)
+            mma(serv_m)
+            gap = lat - (q_m + pd + serv_m)
+    else:
+        # SAM: memory after the probe rules the access a miss.
+        s_cm += 1
+        @memory_read(now=done_t, q=q_m, serv=serv_m)
+        lat = done - arrival
+        q = q_t + q_m
+        qa(q)
+        pa(pd)
+        ta(serv_t)
+        da(0.0)
+        mma(serv_m)
+        gap = lat - (q + pd + serv_t + serv_m)
+    ma(lat)
+    @train(went=True)
+    push(heap, (done, seq, 2, g, 0))
+    seq += 1
+""",
+)
+
+_snippet(
+    "alloy_events",
+    "",
+    """
+elif kind == 2:
+    # Fill the TAD array; the probe already streamed the victim out.
+    addr = A[a]
+    i = SI[a]
+#if ways1
+    @dm_fill(addr=addr, i=i)
+#else
+    @sa_fill(addr=addr, i=i)
+#endif
+#if pred == "missmap"
+    @mm_insert(addr=addr)
+    if ev_addr != -1:
+        @mm_remove(addr=ev_addr)
+#endif
+#if victim
+    if ev_addr != -1:
+        @stash(ev=ev_addr, ev_d=ev_dirty)
+#else
+    if ev_dirty:
+        push(heap, (now, seq, 1, ev_addr, 0))
+        seq += 1
+#endif
+    @stacked_row(at=a)
+    bu = BU[a]
+    @background(d=s, now=now, burst=bu, bytes=tad_bytes[bu], fixed=False)
+    n_fills += 1
+#if victim
+elif kind == 3:
+    # The swapped-back line's TAD refill.
+    @stacked_row(at=a)
+    bu = BU[a]
+    @background(d=s, now=now, burst=bu, bytes=tad_bytes[bu], fixed=False)
+#endif
+else:
+    # Posted write: probe the TAD, then write it (hit) or go to memory.
+    @stacked_row(at=a)
+    bu = BU[a]
+    @background(d=s, now=now, burst=bu, bytes=tad_bytes[bu], write=False, fixed=False, done=t)
+    if b:
+        @background(d=s, now=t, burst=bu, bytes=tad_bytes[bu], chained=True, fixed=False)
+    else:
+        n_mw += 1
+        bk = mb[a]
+        ch = mc[a]
+        row = mr[a]
+        @background(d=m, now=t, burst=m_lb, bytes=m_flb)
+""",
+)
+
+_snippet(
+    "alloy_flush",
+    "",
+    """
+_flush(stats, _SCENARIO_KEYS[(True, True)], s_mm)
+_flush(stats, _SCENARIO_KEYS[(True, False)], s_mc)
+_flush(stats, _SCENARIO_KEYS[(False, True)], s_cm)
+_flush(stats, _SCENARIO_KEYS[(False, False)], s_cc)
+_flush(stats, "tad_row_hits", n_trh)
+_flush(stats, "wasted_memory_reads", n_wasted)
+_flush(stats, "write_hits", n_wh)
+_flush(stats, "fills", n_fills)
+@store_flush(stats=store.stats)
+#if victim
+_flush(stats, "victim_hits", n_vhit)
+vstats = design.victims.stats
+_flush(vstats, "hits", v_h)
+_flush(vstats, "misses", v_m)
+_flush(vstats, "fills", v_f)
+_flush(vstats, "evictions", v_ev)
+_flush(vstats, "dirty_evictions", v_dev)
+#endif
+#if pred in ("map-i", "map-g", "sam", "pam", "perfect")
+predictor.predicted_memory += pm
+predictor.predicted_cache += pc_
+#endif
+_writeback_reads(
+    design, readlat, hitlat, misslat, (stq, stp, stt, std, stm), unat
+)
+""",
+)
+
+
+# ----------------------------------------------------------------------
+# Templates: the flat warmup loop
+# ----------------------------------------------------------------------
+# Each record as ``design.warm`` replays it, built from the kernels' own
+# lookup, fill and replacement bodies: SRAM-Tag and LH-Cache fill on a
+# read miss (LH-Cache keeps its MissMap in step); multi-way Alloy also
+# trains its predictor; the victim Alloy serves a read from its buffer
+# when it can, and its dirty overflow is appended to ``overflow``.
+_WARM = """
+def $name(system, starts, overflow):
+    design = system.design
+#if family in ("sram", "lh")
+    store = design.tags
+#else
+    store = design.cache._store
+    @predictor_setup()
+#endif
+#if family == "lh"
+    @mm_setup(missmap=design.missmap)
+#endif
+#if ways1 and family == "alloy"
+    tags = store._tags
+    dirty = store._dirty
+#else
+    @sa_setup(cache=store)
+#endif
+    nsets = store.num_sets
+    st_h = st_m = st_f = st_ev = st_dev = 0
+    hit_at = ()
+    for ci, trace in enumerate(system.workload.cores):
+        split = starts[ci]
+        if not split:
+            continue
+        addrs = trace.addresses[:split].tolist()
+        writes = trace.is_write[:split].tolist()
+#if pred == "map-i"
+        row_m = mact[ci]
+        slots = _mact_indices(trace.pcs[:split], index_bits)
+#else
+        slots = repeat(0)
+#endif
+        for addr, w, i2 in zip(addrs, writes, slots):
+            i = addr % nsets
+            @${family}_warm()
+    @warm_flush()
+"""
+
+_snippet(
+    "sram_warm",
+    "",
+    """
+if w:
+    @sa_lookup(addr=addr, i=i, write=True)
+else:
+    @sa_lookup(addr=addr, i=i, write=False)
+    if way is None:
+        @sa_fill(addr=addr, i=i)
+""",
+)
+
+_snippet(
+    "lh_warm",
+    "",
+    """
+if w:
+    @sa_lookup(addr=addr, i=i, write=True)
+else:
+    @sa_lookup(addr=addr, i=i, write=False)
+    if way is None:
+        @sa_fill(addr=addr, i=i)
+        @mm_insert(addr=addr)
+        if ev_addr != -1:
+            @mm_remove(addr=ev_addr)
+""",
+)
+
+_snippet(
+    "alloy_warm",
+    "",
+    """
+#if victim
+if not w and addr in vimap:
+    vway = vimap[addr]
+    @swap_back(addr=addr, i=i)
+    @train(went=False)
+    continue
+if tags[i] == addr:
+    if w:
+        dirty[i] = True
+    if not st_h:
+        hit_at = (st_m, st_f, st_ev, st_dev)
+    st_h += 1
+    if not w:
+        @train(went=False)
+else:
+    st_m += 1
+    if not w:
+        @dm_fill(addr=addr, i=i)
+        if ev_addr != -1:
+            @stash(ev=ev_addr, ev_d=ev_dirty)
+        @train(went=True)
+#else
+if w:
+    @sa_lookup(addr=addr, i=i, write=True)
+else:
+    @sa_lookup(addr=addr, i=i, write=False)
+    if way is None:
+        @sa_fill(addr=addr, i=i)
+#if pred == "missmap"
+        @mm_insert(addr=addr)
+        if ev_addr != -1:
+            @mm_remove(addr=ev_addr)
+#endif
+        @train(went=True)
+    else:
+        @train(went=False)
+#endif
+""",
+)
+
+_snippet(
+    "warm_flush",
+    "",
+    """
+_flush_warm(
+    store.stats, st_h, hit_at,
+    (("misses", st_m), ("fills", st_f), ("evictions", st_ev),
+     ("dirty_evictions", st_dev)),
+)
+#if victim
+_flush_warm(
+    design.victims.stats, v_h, v_hit_at,
+    (("fills", v_f), ("evictions", v_ev), ("dirty_evictions", v_dev)),
+)
+#endif
+#if policy == "dip"
+pol.psel = psel
+#endif
+""",
+)

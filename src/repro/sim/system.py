@@ -144,9 +144,10 @@ class System:
     def _warm(self, replay: Optional[Callable] = None) -> List[int]:
         """Functionally replay leading records; returns per-core start index.
 
-        ``replay(system, starts)`` — the batch engine's array warmup — may
-        bring the design to its post-warmup state in one step and return
-        True; otherwise every record goes through ``design.warm`` in order.
+        ``replay(system, starts)`` — the batch engine's warmup hook — may
+        bring the design to its post-warmup state without ``design.warm``
+        and return True; otherwise every record goes through
+        ``design.warm`` in order.
         """
         starts = [
             warmup_split(trace, self.warmup_fraction)

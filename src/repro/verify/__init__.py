@@ -9,8 +9,8 @@ statistic through :meth:`~repro.stats.Accumulator.sample`. The batch engine
 speed. This package keeps the two honest:
 
 * :mod:`repro.verify.fuzzer` — a differential fuzzer that replays seeded
-  randomized access streams through the batch engine's device closures and
-  a plain ``DramDevice``, and runs whole paired systems through both
+  randomized access streams through the batch engine's device template
+  (compiled into callables) and a plain ``DramDevice``, and runs whole paired systems through both
   engines, requiring bit-identical results.
 * :mod:`repro.verify.invariants` — a runtime invariant layer (enabled via
   ``REPRO_VERIFY=1`` or ``SystemConfig(verify=True)``, zero-cost when off)

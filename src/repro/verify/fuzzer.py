@@ -6,9 +6,9 @@ Two layers, both driven from ``repro check``:
   streams (mixed demand/background, reads/writes, variable bursts, open and
   closed page policy, and deliberate backlog phases hugging the block-cap
   and watermark boundaries) and replays each stream through a plain
-  :class:`~repro.dram.device.DramDevice` and through the batch engine's
-  device closures (:func:`repro.sim.batch._device_fns`) over a second
-  device built from the same timings. Every closure result must equal the
+  :class:`~repro.dram.device.DramDevice` and through the batch kernels'
+  device template compiled into callables (:func:`repro.sim.batch.device_fns`)
+  over a second device built from the same timings. Every result must equal the
   matching fields of the reference ``AccessResult``, and at end of stream
   the bank/bus timelines, open-row state and device counters must match
   exactly. Each reference result is also run through the per-access
@@ -134,14 +134,14 @@ def fuzz_device_pair(
     seed: int,
     accesses: int = 350,
 ) -> List[str]:
-    """Replay one seeded stream through the batch device closures and the
-    plain device; return divergences."""
+    """Replay one seeded stream through the batch engine's compiled device
+    template and the plain device; return divergences."""
     # str seeds hash deterministically in random.Random (unlike tuple
     # hashes, which PYTHONHASHSEED salts per process).
     rng = random.Random(f"{seed}:{timings.name}:{page_policy}")
     ref = DramDevice(timings, name="fuzz", page_policy=page_policy)
     dut = DramDevice(timings, name="fuzz", page_policy=page_policy)
-    demand, background, flush, _ = batch._device_fns(dut)
+    demand, background, flush = batch.device_fns(dut)
     checker = InvariantChecker()
     divergences: List[str] = []
     where = f"{timings.name}/{page_policy}/seed={seed}"

@@ -22,6 +22,7 @@ from repro.perf.bench import (
     BenchCell,
     BenchRun,
     compare,
+    render_comparison,
     latest_bench_file,
     load_bench,
     make_bench_grid,
@@ -138,13 +139,14 @@ class TestPayloadRoundTrip:
             load_bench(path)
 
 
-def _payload(cells, calibration=1000.0):
+def _payload(cells, calibration=1000.0, engine="interp"):
     return {
         "kind": "repro-bench",
         "schema": BENCH_SCHEMA,
         "calibration_ops_per_sec": calibration,
         "cells": {
-            cell_id: {"events_per_sec": eps} for cell_id, eps in cells.items()
+            cell_id: {"events_per_sec": eps, "engine_used": engine}
+            for cell_id, eps in cells.items()
         },
     }
 
@@ -187,6 +189,41 @@ class TestCompare:
             tolerance=0.30,
         )
         assert slow["verdict"] == "fail"
+
+    def test_tolerance_gate_skips_cells_of_another_engine(self):
+        # A batch baseline ~3x the interpreter's must not read as an
+        # interpreter regression: only same-engine cells are gated.
+        summary = compare(
+            _payload({"a": 100.0, "b": 90.0}),
+            {
+                **_payload({"a": 300.0}, engine="batch"),
+                "cells": {
+                    "a": {"events_per_sec": 300.0, "engine_used": "batch"},
+                    "b": {"events_per_sec": 100.0, "engine_used": "interp"},
+                },
+            },
+            tolerance=0.30,
+        )
+        assert summary["verdict"] == "pass"
+        assert summary["other_engine"] == ["a"]
+        assert list(summary["cells"]) == ["b"]
+        assert "not gated" in render_comparison(summary)
+
+    def test_tolerance_gate_with_no_same_engine_cell_is_empty(self):
+        summary = compare(
+            _payload({"a": 100.0}), _payload({"a": 300.0}, engine="batch")
+        )
+        assert summary["verdict"] == "empty"
+        assert summary["other_engine"] == ["a"]
+
+    def test_min_speedup_compares_across_engines(self):
+        summary = compare(
+            _payload({"a": 300.0}, engine="batch"),
+            _payload({"a": 100.0}),
+            min_speedup=1.5,
+        )
+        assert summary["verdict"] == "pass"
+        assert summary["cells"]["a"]["speedup"] == pytest.approx(3.0)
 
     def test_disjoint_cells_is_empty_verdict(self):
         summary = compare(_payload({"a": 1.0}), _payload({"b": 1.0}))

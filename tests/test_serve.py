@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -455,6 +456,53 @@ class TestMetricsEndpoint:
         assert "repro_serve_cache_hit_rate" in metrics
         assert "repro_serve_events_per_sec" in metrics
         assert "repro_serve_segments_idle" in metrics
+
+    @staticmethod
+    def _raw(port, data, reset=False):
+        """Send ``data`` on a fresh connection; return everything the server
+        answers, or drop the connection with a reset instead of reading."""
+        import socket
+        import struct
+
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(data)
+            if reset:
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                return b""
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    def test_over_limit_header_is_answered_431(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 1024)
+        request = b"GET /metrics HTTP/1.0\r\nX-Pad: " + b"x" * 4096 + b"\r\n\r\n"
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(serve_config(tmp_path)) as server:
+                reply = self._raw(server.port, request)
+                with ServeClient(port=server.port) as client:
+                    assert client.ping()["event"] == "pong"
+        assert reply.startswith(b"HTTP/1.0 431 Request Header Fields Too Large")
+        assert b"1024" in reply
+        assert not [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+
+    def test_client_dropping_mid_headers_is_quiet(self, tmp_path, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(serve_config(tmp_path)) as server:
+                self._raw(
+                    server.port, b"GET /metrics HTTP/1.0\r\nX-A: 1\r\n", reset=True
+                )
+                with ServeClient(port=server.port) as client:
+                    assert client.ping()["event"] == "pong"
+                reply = self._raw(server.port, b"GET /metrics HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.0 200 OK")
+        assert not [r.getMessage() for r in caplog.records if r.name == "asyncio"]
 
     def test_http_unknown_path_is_404(self, tmp_path):
         with ServerThread(serve_config(tmp_path)) as server:

@@ -101,6 +101,53 @@ class TestBitExactness:
         assert batch.engine_used == "batch"
         assert_identical(got, want)
 
+    # Each flag combination is a kernel of its own: the matrices below
+    # reach every combination a factory design or config can.
+    @pytest.mark.parametrize(
+        "design",
+        ["alloy-map-i", "alloy-2way", "alloy-victim16", "ideal-lo",
+         "lh-cache", "sram-tag"],
+    )
+    @pytest.mark.parametrize("closed", ["stacked", "offchip"])
+    def test_matches_with_one_device_closed(self, design, closed):
+        _, want, batch, got = _pair(
+            design, _config(**{f"{closed}_page_policy": "closed"})
+        )
+        assert batch.engine_used == "batch"
+        assert_identical(got, want)
+
+    @pytest.mark.parametrize("design", BATCH_DESIGNS)
+    def test_every_kernel_matches_with_mlp_cores(self, design):
+        _, want, batch, got = _pair(design, _config(mshrs_per_core=4))
+        assert batch.engine_used == "batch"
+        assert_identical(got, want)
+
+    @pytest.mark.parametrize("policy", ["lru", "dip", "random"])
+    @pytest.mark.parametrize(
+        "family,ways", [("sram", 32), ("sram", 1), ("lh", 29), ("lh", 1)]
+    )
+    def test_set_associative_designs_match_under_each_policy(
+        self, family, ways, policy
+    ):
+        from repro.cache.replacement import make_policy
+        from repro.dramcache.lh_cache import LHCacheDesign
+        from repro.dramcache.sram_tag import SramTagDesign
+
+        cls = SramTagDesign if family == "sram" else LHCacheDesign
+
+        def build(config, stacked, memory, schedule):
+            return cls(
+                config, stacked, memory, schedule, ways=ways,
+                policy=make_policy(policy),
+            )
+
+        # Enough of mcf_r's footprint to fill sets and evict from them, so
+        # the policy's victim choice (and its RNG draws) is exercised.
+        _, want, batch, got = _pair(build, _config(), reads=1500)
+        assert batch.engine_used == "batch"
+        assert batch.design.tags.stats.counter("evictions").value > 0
+        assert_identical(got, want)
+
 
 class TestFallback:
     @pytest.mark.parametrize("design", FALLBACK_DESIGNS)
@@ -391,3 +438,138 @@ class TestNoWorkloadMutation:
         for name, want in before.items():
             got = getattr(trace, name)
             assert np.array_equal(got, want), f"kernel mutated trace.{name}"
+
+
+def _run_calls(design, mshrs, reads):
+    """Python-level function calls (``sys.setprofile`` "call" events) made
+    inside one ``System.run()``."""
+    import sys
+
+    config = _config(mshrs_per_core=mshrs)
+    system = System(config, design, _workload(config, reads=reads))
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        system.run()
+    finally:
+        sys.setprofile(None)
+    assert system.engine_used == "batch"
+    return calls[0]
+
+
+class TestNoPerRecordCalls:
+    """The batch path (warmup, precompute, kernel, collect) makes a fixed
+    number of Python-level calls whatever the trace length: everything per
+    record is inline. The slack covers counters and stat groups a longer
+    run creates on first use (evictions, victim reads, ...)."""
+
+    SLACK = 24
+
+    @pytest.mark.parametrize("mshrs", [1, 4])
+    @pytest.mark.parametrize("design", BATCH_DESIGNS)
+    def test_calls_do_not_grow_with_the_trace(self, design, mshrs):
+        _run_calls(design, mshrs, 200)  # generate the kernel and warmup
+        short = _run_calls(design, mshrs, 200)
+        long = _run_calls(design, mshrs, 2000)
+        assert long - short <= self.SLACK, (short, long)
+
+
+def _variant(design, **overrides):
+    from repro.sim import batch
+
+    config = _config(**overrides)
+    system = System(config, design, _workload(config, reads=20))
+    family = batch._select_kernel(system.design).__name__[len("_run_"):]
+    return batch._kernel(family, system)
+
+
+class TestGeneration:
+    def test_import_generates_nothing(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.sim.system, repro.sim.parallel\n"
+            "assert 'repro.sim.batch' not in sys.modules\n"
+            "from repro.sim import batch\n"
+            "assert batch._KERNELS == {}, batch._KERNELS\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    def test_repeated_key_reuses_its_kernel(self):
+        assert _variant("alloy-map-i") is _variant("alloy-map-i")
+
+    @pytest.mark.parametrize(
+        "design,change",
+        [
+            ("alloy-map-i", dict(mshrs_per_core=4)),
+            ("alloy-map-i", dict(stacked_page_policy="closed")),
+            ("alloy-map-i", dict(offchip_page_policy="closed")),
+        ],
+    )
+    def test_one_flag_apart_means_another_kernel(self, design, change):
+        assert _variant(design) is not _variant(design, **change)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("alloy-map-i", "alloy-map-g"),
+            ("alloy-map-i", "alloy-2way"),
+            ("alloy-map-i", "alloy-victim16"),
+            ("lh-cache", "lh-cache-rand"),
+            ("lh-cache", "lh-cache-1way"),
+        ],
+    )
+    def test_designs_one_flag_apart_get_different_kernels(self, a, b):
+        assert _variant(a) is not _variant(b)
+
+    def test_same_flags_share_a_kernel_across_designs(self):
+        # alloy-burst8 differs from alloy-map-i only in burst data, which
+        # the kernel reads at run time.
+        assert _variant("alloy-map-i") is _variant("alloy-burst8")
+
+    def test_filename_names_the_variant(self):
+        import linecache
+
+        code = _variant("lh-cache-rand", mshrs_per_core=4).__code__
+        name = code.co_filename
+        assert "kernel_lh" in name and "policy=random" in name
+        assert "mlp=True" in name
+        assert linecache.getline(name, code.co_firstlineno).startswith(
+            "def kernel_lh("
+        )
+
+
+class TestRandbelow:
+    """The inline draw the templates use for ``Random.randrange(n)``."""
+
+    def test_matches_randrange_in_values_and_state(self):
+        import random
+
+        from repro.sim import batch
+
+        draw = batch._generate(
+            "\ndef $name(getrandbits, n, count):\n"
+            "    k = n.bit_length()\n"
+            "    out = []\n"
+            "    for _ in range(count):\n"
+            "        @randbelow(n=n, k=k, out=x)\n"
+            "        out.append(x)\n"
+            "    return out\n",
+            "draws",
+            {"family": "test"},
+        )
+        for seed in range(5):
+            for n in range(1, 130):
+                ref = random.Random(seed * 1000 + n)
+                dut = random.Random(seed * 1000 + n)
+                want = [ref.randrange(n) for _ in range(200)]
+                assert draw(dut.getrandbits, n, 200) == want
+                assert dut.getstate() == ref.getstate()
+

@@ -3,9 +3,11 @@
 * the deferred-statistics fold (:func:`repro.sim.batch._fold_acc`) must be
   the interpreter's per-sample ``Accumulator.sample`` left fold, bit for
   bit, on data where a pairwise sum (``np.sum``) rounds differently;
-* the array warmup (:func:`repro.sim.batch._warm_arrays`) must leave every
-  design it covers in the state the per-record ``design.warm`` replay of
-  :meth:`System._warm` leaves it in;
+* the array warmup (:func:`repro.sim.batch._warm_arrays`) and the generated
+  flat warmup loop (:func:`repro.sim.batch._warm_loop`) must leave every
+  design they cover in the state the per-record ``design.warm`` replay of
+  :meth:`System._warm` leaves it in, and between them cover every kernel
+  design;
 * a batch run keeps per-core outcomes, not per-record trace cursors.
 """
 
@@ -44,6 +46,19 @@ ARRAY_WARM_DESIGNS = (
     "alloy-map-i",
     "alloy-perfect",
     "alloy-burst8",
+)
+
+#: Designs whose warmup the batch engine runs as a generated flat loop.
+FLAT_WARM_DESIGNS = (
+    "sram-tag",
+    "sram-tag-1way",
+    "lh-cache",
+    "lh-cache-rand",
+    "lh-cache-1way",
+    "alloy-2way",
+    "alloy-4way",
+    "alloy-victim16",
+    "alloy-victim64",
 )
 
 #: A multiple of every array-path design's set count at this scale (896
@@ -227,12 +242,17 @@ class TestArrayWarmup:
 
     def test_array_path_covers_exactly_the_direct_mapped_designs(self):
         workload = _random_workload(3, num_cores=2)
-        covered = []
+        covered, looped = [], []
         for design in BATCH_DESIGNS:
             system = System(_config(2), design, workload)
             if batch._warm_arrays(system, [10, 10]):
                 covered.append(design)
+            elif batch._warm_loop(system.design) is not None:
+                looped.append(design)
         assert sorted(covered) == sorted(ARRAY_WARM_DESIGNS + ("no-cache",))
+        # Every other kernel design warms in the generated flat loop:
+        # none is left to design.warm.
+        assert sorted(looped) == sorted(FLAT_WARM_DESIGNS)
 
     @pytest.mark.parametrize(
         "design", ["alloy-2way", "alloy-victim16", "lh-cache", "sram-tag-1way"]
@@ -245,6 +265,15 @@ class TestArrayWarmup:
         design = system.design
         store = design.tags if hasattr(design, "tags") else design.cache
         assert store.stats.counters == {}
+
+        # The batch path's hook then warms them in the flat loop, without
+        # a single design.warm call.
+        def replay(*record):
+            raise AssertionError("design.warm called on the batch path")
+
+        design.warm = replay
+        assert batch._warm_batch(system, starts, [])
+        assert store.stats.counters != {}
 
     def test_system_warm_replays_only_when_the_hook_declines(self):
         workload = _random_workload(1, num_cores=2)
@@ -263,6 +292,172 @@ class TestArrayWarmup:
         skipped = System(_config(2), "alloy-map-i", workload, warmup_fraction=0.5)
         assert skipped._warm(lambda system, starts: True) == starts
         assert _store(skipped.design).stats.counters == {}
+
+
+# ----------------------------------------------------------------------
+# Flat warmup loop
+# ----------------------------------------------------------------------
+def _sets_of(design):
+    """The set count of ``design``'s tag store at the test scale."""
+    workload = _random_workload(0, num_cores=1)
+    built = System(_config(1), design, workload).design
+    return (built.tags if hasattr(built, "tags") else built.cache).num_sets
+
+
+def _conflict_workload(seed, num_cores, design):
+    """Seeded streams that crowd three sets (DIP's LRU leader, its BIP
+    leader and a follower) with more lines than a set (or the victim
+    buffer) holds, plus a sprinkling of lines elsewhere, so evictions,
+    dirty evictions, PSEL movement in both directions, BIP draws and victim
+    overflow all occur."""
+    num_sets = _sets_of(design)
+    if "victim" in design:
+        span = int(design.rsplit("victim", 1)[1]) // 2 + 6
+    else:
+        span = {"sram-tag": 38, "lh-cache": 35, "lh-cache-rand": 35}.get(
+            design, 10
+        )
+    rng = np.random.default_rng(seed)
+    cores = []
+    for _ in range(num_cores):
+        n = int(rng.integers(0, 400))
+        addresses = rng.integers(0, 3, n) + num_sets * rng.integers(0, span, n)
+        wide = rng.random(n) < 0.1
+        addresses[wide] = rng.integers(0, 1 << 30, int(wide.sum()))
+        cores.append(
+            CoreTrace(
+                gaps=rng.random(n) * 20.0,
+                addresses=addresses.astype(np.int64),
+                is_write=rng.random(n) < 0.3,
+                pcs=rng.choice(
+                    np.array([0x400, 0x4A7, 0x7FFF_1234, 0x12_3456_789A]), n
+                ).astype(np.int64),
+                instructions=10 * n + 1,
+            )
+        )
+    return Workload(f"conflict{seed}", cores)
+
+
+def _sets_state(store):
+    return [
+        (list(s.tags), list(s.dirty), copy.copy(s.policy_state), dict(s.index_map))
+        for s in store._sets
+    ]
+
+
+def _flat_state(system, overflow):
+    """Everything the warmup may change, counters in creation order."""
+    design = system.design
+    store = design.tags if hasattr(design, "tags") else design.cache._store
+    state = {
+        "store_counters": [(k, c.value) for k, c in store.stats.counters.items()],
+        "design_counters": [
+            (k, c.value) for k, c in design.stats.counters.items()
+        ],
+        # Dirty victim-buffer overflow, in write-back order.
+        "overflow": [
+            fn.__defaults__[0] for _, _, fn in sorted(system._heap)
+        ] + list(overflow),
+    }
+    if hasattr(store, "_sets"):
+        state["sets"] = _sets_state(store)
+        policy = store.policy
+        state["psel"] = getattr(policy, "psel", None)
+        rng = getattr(policy, "_rng", None)
+        state["rng"] = rng.getstate() if rng is not None else None
+    else:
+        state["tags"] = list(store._tags)
+        state["dirty"] = list(store._dirty)
+    missmap = getattr(design, "missmap", None) or getattr(design, "_missmap", None)
+    if missmap is not None:
+        state["missmap"] = (
+            set(missmap._present),
+            dict(missmap._segment_population),
+        )
+    predictor = getattr(design, "predictor", None)
+    if isinstance(predictor, MapIPredictor):
+        state["mact"] = copy.deepcopy(predictor._mact)
+    if isinstance(predictor, MapGPredictor):
+        state["mac"] = list(predictor._mac)
+    if isinstance(predictor, MemoryAccessPredictor):
+        state["noted"] = (predictor.predicted_memory, predictor.predicted_cache)
+    victims = getattr(design, "victims", None)
+    if victims is not None:
+        state["victims"] = _sets_state(victims)
+        state["victim_counters"] = [
+            (k, c.value) for k, c in victims.stats.counters.items()
+        ]
+    return state
+
+
+class TestFlatWarmup:
+    @pytest.mark.parametrize("design", FLAT_WARM_DESIGNS)
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.75])
+    def test_matches_the_per_record_replay(self, design, fraction):
+        for seed in range(8):
+            num_cores = 1 + seed % 4
+            workload = _conflict_workload(seed, num_cores, design)
+            ref, fast = _warm_pair(design, workload, fraction)
+            if seed % 2:
+                # Start from a store another stream warmed: resident, dirty
+                # and buffered lines the warmup re-reads and evicts.
+                primer = _conflict_workload(1000 + seed, num_cores, design)
+                _replay(ref.design, primer)
+                _replay(fast.design, primer)
+            starts = ref._warm()
+            overflow = []
+            assert batch._warm_batch(fast, starts, overflow)
+            assert _flat_state(fast, overflow) == _flat_state(ref, []), (
+                f"{design} seed={seed} fraction={fraction}"
+            )
+
+    @pytest.mark.parametrize("design", FLAT_WARM_DESIGNS)
+    def test_matches_on_a_benchmark_trace(self, design):
+        workload = build_workload(
+            "mcf_r", num_cores=2, reads_per_core=800, capacity_scale=4096
+        )
+        ref, fast = _warm_pair(design, workload, 0.5)
+        ref._warm()
+        overflow = []
+        fast._warm(lambda system, starts: batch._warm_batch(system, starts, overflow))
+        assert _flat_state(fast, overflow) == _flat_state(ref, [])
+
+    def test_the_conflict_streams_reach_every_path(self):
+        """The streams above evict, dirty-evict, move PSEL both ways, draw
+        BIP insertions and overflow the victim buffer."""
+        seen = set()
+        for design in FLAT_WARM_DESIGNS:
+            for seed in range(8):
+                workload = _conflict_workload(seed, 1 + seed % 4, design)
+                system = System(_config(workload.num_cores), design, workload)
+                policy = getattr(getattr(system.design, "tags", None), "policy", None)
+                psel0 = getattr(policy, "psel", None)
+                rng0 = policy._rng.getstate() if hasattr(policy, "_rng") else None
+                overflow = []
+                starts = [len(t) for t in workload.cores]
+                batch._warm_batch(system, starts, overflow)
+                store = (
+                    system.design.tags
+                    if hasattr(system.design, "tags")
+                    else system.design.cache._store
+                )
+                seen.update(
+                    (design, k) for k, c in store.stats.counters.items() if c.value
+                )
+                if psel0 is not None:
+                    seen.add((design, "psel-up" if policy.psel > psel0 else "psel-down"))
+                if rng0 is not None and policy._rng.getstate() != rng0:
+                    seen.add((design, "draws"))
+                if overflow:
+                    seen.add((design, "overflow"))
+        for design in FLAT_WARM_DESIGNS:
+            assert (design, "dirty_evictions") in seen, design
+        for design in ("sram-tag", "lh-cache"):
+            assert {(design, "psel-up"), (design, "psel-down")} <= seen
+        for design in ("sram-tag", "sram-tag-1way", "lh-cache", "lh-cache-rand"):
+            assert (design, "draws") in seen, design
+        for design in ("alloy-victim16", "alloy-victim64"):
+            assert (design, "overflow") in seen, design
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Tests for the correctness subsystem: fuzzer and invariant layer.
 
-The batch engine's device closures must stay bit-identical to the plain
-``DramDevice`` (``PriorityTimeline.reserve`` + ``Accumulator.sample``).
-These tests pin (a) that the closures and the device agree, (b) that the
-fuzzer *detects* closures whose mirror is broken, and (c) that the
+The batch kernels' device template, compiled into callables, must stay
+bit-identical to the plain ``DramDevice`` (``PriorityTimeline.reserve`` +
+``Accumulator.sample``). These tests pin (a) that the callables and the
+device agree, (b) that the fuzzer *detects* a template whose mirror is
+broken, and (c) that the
 invariant layer is installed only when asked for and actually rejects
 corrupted results.
 """
@@ -34,13 +35,13 @@ def _small_workload(num_cores=1, reads=150, seed=3):
 
 
 class TestOracleDevice:
-    """The plain ``DramDevice`` is the oracle: the batch engine's device
-    closures must reproduce its ``access`` exactly."""
+    """The plain ``DramDevice`` is the oracle: the batch kernels' device
+    template must reproduce its ``access`` exactly."""
 
     def test_scripted_stream_bit_identical(self):
         ref = DramDevice(STACKED_DRAM)
         dut = DramDevice(STACKED_DRAM)
-        demand, background, flush, _ = batch._device_fns(dut)
+        demand, background, flush = batch.device_fns(dut)
         script = [
             (0.0, LOC, None, False, False),
             (0.0, LOC, None, False, True),
@@ -85,7 +86,8 @@ class TestOracleDevice:
 
 
 def _break_consts(monkeypatch, mutate):
-    """Make the batch closures read constants edited by ``mutate``."""
+    """Make the compiled device template read constants edited by
+    ``mutate``."""
     original = batch._device_consts
 
     def broken(dev):
