@@ -1079,15 +1079,15 @@ def _breakdown_main(argv: List[str]) -> int:
     return 0
 
 
-def _trace_cells(paths, format, designs, warmup_fraction, seed):
+def _trace_cells(paths, format, designs, warmup_fraction, seed, trace_dir):
     """Decode external trace files into sweep cells (plus their specs).
 
     Each file becomes one workload column: its cells carry the content-
     keyed ``trace:`` spec as the benchmark, a config with ``num_cores``
     taken from the decoded workload (k6/mase streams are single-core),
     and ``reads_per_core=0`` (the file defines its own length). The
-    decoded workload is adopted into the arena so the sweep's fetch is a
-    memo hit rather than a second streaming decode.
+    decoded workload is adopted into the sweep's arena (``trace_dir``) so
+    its fetch is a memo hit rather than a second streaming decode.
     """
     from dataclasses import replace
 
@@ -1114,7 +1114,7 @@ def _trace_cells(paths, format, designs, warmup_fraction, seed):
                     seed=seed,
                 )
             )
-        get_workload_arena().adopt(cells[-1].workload_params(), workload)
+        get_workload_arena(trace_dir).adopt(cells[-1].workload_params(), workload)
     return cells, specs
 
 
@@ -1205,6 +1205,7 @@ def _sweep_main(argv: List[str]) -> int:
                     grid,
                     warmup_fraction=args.warmup,
                     seed=args.seed,
+                    trace_dir=cache.trace_dir,
                 )
             except (OSError, ValueError) as exc:
                 print(f"sweep: {exc}", file=sys.stderr)

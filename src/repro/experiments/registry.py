@@ -94,6 +94,19 @@ def _run_one(args: Tuple[str, bool]) -> Tuple[str, ExperimentResult, float]:
     return experiment_id, result, time.time() - started
 
 
+def _run_in_worker(args: Tuple[str, bool]) -> Tuple[str, ExperimentResult, float]:
+    """Executor entry point: :func:`_run_one`, then shut down the sweep pool
+    the experiment may have started. A worker process exits only once its
+    children have, and the pool's own ``atexit`` hook runs after that wait.
+    """
+    from repro.sim.parallel import shutdown_worker_pool
+
+    try:
+        return _run_one(args)
+    finally:
+        shutdown_worker_pool()
+
+
 def run_experiments(
     experiment_ids: Iterable[str],
     quick: bool = False,
@@ -109,6 +122,12 @@ def run_experiments(
     if jobs <= 1 or len(work) == 1:
         return [_run_one(item) for item in work]
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with multiprocessing.Pool(min(jobs, len(work))) as pool:
-        return pool.map(_run_one, work)
+    # Executor workers are not daemonic, so an experiment can still fan
+    # its own sweeps out over a pool (REPRO_JOBS > 1).
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(work)),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        return list(pool.map(_run_in_worker, work))

@@ -28,20 +28,14 @@ mode the journal exists to survive.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.jobs.journal import JobJournal
 from repro.jobs.manager import Job, JobRunLock, cell_to_dict, open_job
 from repro.sim import parallel as _par
-from repro.sim.parallel import (
-    CellResult,
-    ResultCache,
-    SweepCell,
-    SweepReport,
-    shared_traces_enabled,
-)
+from repro.sim.parallel import CellResult, ResultCache, SweepCell, SweepReport
 from repro.sim.results import SimResult
 from repro.workloads.arena import (
     SharedWorkloadHandle,
@@ -200,13 +194,14 @@ def _execute_cells(
     if pending and max_workers == 1:
         for key, indices in pending.items():
             cell = cells[indices[0]]
-            result, telemetry = _par._execute_cell(cell)
+            result, telemetry = _par._execute_cell(
+                cell, trace_dir=cache.trace_dir
+            )
             if use_cache:
                 cache.put(key, result, telemetry, _par._cell_describe(cell))
             _finish(key, result, telemetry)
     elif pending:
         persist = use_cache and cache.persist
-        share = shared_traces_enabled()
         handles: Dict[str, SharedWorkloadHandle] = {}
         acquired: List[str] = []
         futures: Dict[Future, str] = {}
@@ -224,52 +219,33 @@ def _execute_cells(
                 _finish(key, result, telemetry)
 
         try:
-            if share:
-                pool = _par._get_pool(max_workers)
-                arena = get_workload_arena()
-                for key, indices in pending.items():
-                    # Report cells that finished while the parent was
-                    # building later rows' traces.
-                    _collect([f for f in remaining if f.done()])
-                    cell = cells[indices[0]]
-                    params = cell.workload_params()
-                    wkey = params.key()
-                    handle = handles.get(wkey)
-                    if handle is None:
-                        workload, trace_tel = arena.fetch(params)
-                        parent_trace_seconds += trace_tel[
-                            "trace_build_seconds"
-                        ]
-                        if trace_tel["trace_source"] == "built":
-                            parent_builds += 1
-                        handle = acquire_shared_workload(wkey, workload)
-                        handles[wkey] = handle
-                        acquired.append(wkey)
-                    future = pool.submit(
-                        _par._worker,
-                        cell,
-                        str(cache.directory),
-                        persist,
-                        handle,
-                    )
-                    futures[future] = key
-                    remaining.add(future)
-            else:
-                # Fabric disabled: ephemeral pool, workers build their own
-                # workloads (each worker's arena memoizes across its cells).
-                pool = ProcessPoolExecutor(
-                    max_workers=min(max_workers, len(pending))
+            pool = _par._get_pool(max_workers)
+            arena = get_workload_arena(cache.trace_dir)
+            for key, indices in pending.items():
+                # Report cells that finished while the parent was
+                # building later rows' traces.
+                _collect([f for f in remaining if f.done()])
+                cell = cells[indices[0]]
+                params = cell.workload_params()
+                wkey = params.key()
+                handle = handles.get(wkey)
+                if handle is None:
+                    workload, trace_tel = arena.fetch(params)
+                    parent_trace_seconds += trace_tel["trace_build_seconds"]
+                    if trace_tel["trace_source"] == "built":
+                        parent_builds += 1
+                    handle = acquire_shared_workload(wkey, workload)
+                    handles[wkey] = handle
+                    acquired.append(wkey)
+                future = pool.submit(
+                    _par._worker,
+                    cell,
+                    str(cache.directory),
+                    persist,
+                    handle,
                 )
-                for key, indices in pending.items():
-                    future = pool.submit(
-                        _par._worker,
-                        cells[indices[0]],
-                        str(cache.directory),
-                        persist,
-                        None,
-                    )
-                    futures[future] = key
-                    remaining.add(future)
+                futures[future] = key
+                remaining.add(future)
             while remaining:
                 done, _ = wait(remaining, return_when=FIRST_COMPLETED)
                 _collect(done)
@@ -277,8 +253,7 @@ def _execute_cells(
             # A worker died mid-flight; the pool is poisoned. Drop it so
             # the next sweep starts clean. Cells journaled before the
             # crash survive; a resume replays them and re-runs the rest.
-            if share:
-                _par.shutdown_worker_pool()
+            _par.shutdown_worker_pool()
             raise
         except BaseException:
             for future in futures:
@@ -287,8 +262,6 @@ def _execute_cells(
         finally:
             for wkey in acquired:
                 release_shared_workload(wkey)
-            if not share:
-                pool.shutdown(wait=False, cancel_futures=True)
 
     executed = [slot for slot in slots if slot is not None]
     workloads_built = parent_builds + sum(

@@ -38,7 +38,6 @@ process pool is grown once and never thrashed by interleaved jobs.
 from __future__ import annotations
 
 import asyncio
-import functools
 import signal
 import sys
 import threading
@@ -204,28 +203,37 @@ class _TokenBucket:
         return False
 
 
-async def _readline(reader: asyncio.StreamReader, send) -> bytes:
-    """The next NDJSON line, or ``b""`` when the session should end: end
-    of input, a dropped connection, or a line longer than
-    ``MAX_LINE_BYTES``. The rest of an over-long line is still on the wire,
-    so that one is answered with ``bad-request`` and the connection closed
-    rather than resynchronized."""
+async def _readline(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line; ``b""`` at end of input or on a dropped connection;
+    ``None`` for a line longer than ``MAX_LINE_BYTES``. The rest of an
+    over-long line is still on the wire, so the caller answers it and
+    closes the connection rather than resynchronizing. Its first bytes
+    stay in ``reader``'s buffer."""
     try:
-        return await reader.readline()
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:  # end of input mid-line
+        return exc.partial
+    except asyncio.LimitOverrunError:
+        return None
     except (ConnectionError, OSError):
         return b""
-    except ValueError:  # readline's form of LimitOverrunError
-        await send(
-            {
-                "event": "error",
-                "code": "bad-request",
-                "error": (
-                    f"message line exceeds {MAX_LINE_BYTES} bytes; "
-                    "closing the connection"
-                ),
-            }
-        )
-        return b""
+
+
+def _too_long() -> Dict:
+    """The NDJSON answer to a message line over ``MAX_LINE_BYTES``."""
+    return {
+        "event": "error",
+        "code": "bad-request",
+        "error": (
+            f"message line exceeds {MAX_LINE_BYTES} bytes; "
+            "closing the connection"
+        ),
+    }
+
+
+def _is_http(line: bytes) -> bool:
+    """Whether ``line`` starts an HTTP request rather than NDJSON."""
+    return line.split(b" ", 1)[0] in (b"GET", b"HEAD")
 
 
 async def _http_reply(writer, status: str, body: str, head: bool) -> None:
@@ -330,12 +338,13 @@ class ServeServer:
         if task is not None:
             self._sessions.add(task)
         try:
-            first = await _readline(
-                reader, functools.partial(self._safe_send, writer)
-            )
+            first = await _readline(reader)
+            if first is None:
+                await self._first_line_too_long(reader, writer)
+                return
             if not first:
                 return
-            if first.split(b" ", 1)[0] in (b"GET", b"HEAD"):
+            if _is_http(first):
                 await self._serve_http(first, reader, writer)
                 return
             await self._session(first, reader, writer)
@@ -350,6 +359,26 @@ class ServeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _first_line_too_long(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer a first line over ``MAX_LINE_BYTES``: ``414`` for an HTTP
+        request line, else the NDJSON ``bad-request``. The line's first
+        bytes, still buffered, tell the two apart."""
+        try:
+            head = await reader.read(len(b"HEAD "))
+        except (ConnectionError, OSError):
+            return
+        if _is_http(head):
+            await _http_reply(
+                writer,
+                "414 URI Too Long",
+                f"request line exceeds {MAX_LINE_BYTES} bytes\n",
+                head.startswith(b"HEAD"),
+            )
+        else:
+            await self._safe_send(writer, _too_long())
 
     async def _safe_send(
         self, writer: asyncio.StreamWriter, message: Dict
@@ -419,7 +448,9 @@ class ServeServer:
                 done = await self._dispatch(line, send, bucket, client_jobs)
                 if done:
                     break
-                line = await _readline(reader, send)
+                line = await _readline(reader)
+            if line is None:
+                await send(_too_long())
             # Let this connection's in-flight jobs finish streaming
             # before the connection closes under them.
             while client_jobs["count"] > 0:
@@ -743,10 +774,10 @@ async def run_stdio(config: Optional[ServeConfig] = None) -> int:
     )
     writer = asyncio.StreamWriter(transport, proto, reader, loop)
     try:
-        first = await _readline(
-            reader, functools.partial(server._safe_send, writer)
-        )
-        if first:
+        first = await _readline(reader)
+        if first is None:
+            await server._safe_send(writer, _too_long())
+        elif first:
             await server._session(first, reader, writer)
     finally:
         await server.shutdown()

@@ -29,12 +29,12 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   accumulators/histograms once at the end, over zero-copy numpy views.
   ``np.add.accumulate`` is a strict left fold in sample order, so float
   sums match the interpreter's per-sample ``total += v`` bit-for-bit.
-* **Warmup without design.warm**: the direct-mapped designs (IDEAL-LO and
-  the 1-way, non-victim Alloy) warm with numpy (:func:`_warm_arrays`); the
-  set-associative ones (SRAM-Tag, LH-Cache, multi-way Alloy) and the
-  victim Alloy warm in a generated flat loop built from the kernels' own
-  lookup, fill and replacement bodies (:func:`_warm_loop`). Only the
-  interpreter replays ``design.warm``.
+* **Warmup without design.warm**: every design with tag state warms in a
+  flat loop generated for its configuration (:func:`_warm_loop`), built
+  from the kernels' own lookup, fill, replacement, MissMap, victim-buffer
+  and predictor-training bodies; the direct-mapped (``dm_*``) and
+  set-associative (``sa_*``) stores each have one lookup and one fill
+  body. Only the interpreter replays ``design.warm``.
 * **Lean cores**: no per-record :class:`~repro.sim.core_model.Core`
   cursors; a run keeps one :class:`CoreOutcome` per core.
 
@@ -57,17 +57,14 @@ from __future__ import annotations
 import linecache
 import re
 from functools import partial
-from itertools import repeat
 from string import Template
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.missmap import MissMap
 from repro.cache.replacement import DIPPolicy, LRUPolicy, RandomPolicy
 from repro.core.predictors import (
-    MAC_MAX,
     MapGPredictor,
     MapIPredictor,
     PamPredictor,
@@ -76,7 +73,7 @@ from repro.core.predictors import (
 )
 from repro.dramcache.alloy import AlloyCacheDesign
 from repro.dramcache.alloy_victim import AlloyVictimDesign
-from repro.dramcache.base import LATENCY_BUCKETS, DramCacheDesign
+from repro.dramcache.base import LATENCY_BUCKETS
 from repro.dramcache.ideal_lo import IdealLODesign
 from repro.dramcache.lh_cache import LHCacheDesign
 from repro.dramcache.no_cache import NoCacheDesign
@@ -87,8 +84,9 @@ from repro.units import LINE_SIZE
 # Names only the generated code uses: it runs in this module's globals.
 from array import array  # noqa: F401
 from heapq import heappop, heappush  # noqa: F401
+from itertools import repeat  # noqa: F401
 from repro.cache.missmap import LINES_PER_SEGMENT  # noqa: F401
-from repro.core.predictors import MAC_MSB_THRESHOLD  # noqa: F401
+from repro.core.predictors import MAC_MAX, MAC_MSB_THRESHOLD  # noqa: F401
 from repro.dramcache.alloy import _SCENARIO_KEYS  # noqa: F401
 from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES  # noqa: F401
 from repro.dramcache.base import ATTRIBUTION_EPSILON  # noqa: F401
@@ -152,32 +150,31 @@ def run(system) -> Optional["object"]:
     the interpreter). All eligibility checks happen before any mutation."""
     if system.checker is not None:
         return None
-    runner = _select_kernel(system.design)
-    if runner is None:
+    family = _family(system.design)
+    if family is None:
         return None
     # Dirty lines the victim warmup pushes out of the buffer: the kernel
     # writes them back first, as the interpreter's heap would.
     overflow: List[int] = []
     starts = system._warm(partial(_warm_batch, overflow=overflow))
-    runner(system, starts, overflow)
+    # Looked up at call time: profilers replace the entry points.
+    globals()[f"_run_{family}"](system, starts, overflow)
     system.engine_used = "batch"
     return system._collect()
 
 
-def _select_kernel(design):
+def _family(design) -> Optional[str]:
+    """The kernel family that runs ``design``, or None outside the
+    envelope. The kernels and the warmup loops share this dispatch."""
     kind = type(design)
     if kind is NoCacheDesign:
-        return _run_no_cache
+        return "no_cache"
     if kind is IdealLODesign:
-        return _run_ideal_lo
-    if kind is SramTagDesign:
+        return "ideal_lo"
+    if kind is SramTagDesign or kind is LHCacheDesign:
         if type(design.tags.policy) not in _POLICIES:
             return None
-        return _run_sram
-    if kind is LHCacheDesign:
-        if type(design.tags.policy) not in _POLICIES:
-            return None
-        return _run_lh
+        return "sram" if kind is SramTagDesign else "lh"
     if kind is AlloyCacheDesign or kind is AlloyVictimDesign:
         if (
             design.cache.ways != 1
@@ -188,7 +185,7 @@ def _select_kernel(design):
             return None
         if type(design.predictor) not in _PREDICTORS:
             return None
-        return _run_alloy
+        return "alloy"
     return None
 
 
@@ -216,17 +213,12 @@ def _run_alloy(system, starts, overflow=()):
 
 def _warm_batch(system, starts, overflow) -> bool:
     """:meth:`System._warm`'s hook on the batch path: bring the design to
-    its post-warmup state without ``design.warm``. Direct-mapped designs
-    warm with numpy, set-associative and victim designs in a generated
-    flat loop, which appends the victim buffer's dirty overflow to
-    ``overflow``. Returns False (the caller replays ``design.warm``) only
-    for a design neither covers."""
-    if _warm_arrays(system, starts):
-        return True
+    its post-warmup state in the flat loop generated for it, without
+    ``design.warm``; the victim buffer's dirty overflow is appended to
+    ``overflow``. No-cache keeps no state to warm."""
     warm = _warm_loop(system.design)
-    if warm is None:
-        return False
-    warm(system, starts, overflow)
+    if warm is not None:
+        warm(system, starts, overflow)
     return True
 
 
@@ -316,6 +308,18 @@ def _row_decode(row_np, device):
     row = per_channel // banks
     bank_index = channel * banks + bank
     return bank_index.tolist(), channel.tolist(), row.tolist()
+
+
+def _mact_indices(pcs_np, index_bits):
+    """Vectorized :func:`repro.core.predictors.folded_xor` over a PC array."""
+    value = pcs_np.astype(np.uint64)
+    mask = np.uint64((1 << index_bits) - 1)
+    shift = np.uint64(index_bits)
+    folded = np.zeros_like(value)
+    while value.any():
+        folded ^= value & mask
+        value >>= shift
+    return folded.astype(np.int64).tolist()
 
 
 def _device_consts(dev):
@@ -445,181 +449,6 @@ def _finish_cores(system, finish, last_read, n_reads, n_writes):
         for outcome in zip(finish, last_read, n_reads, n_writes)
     ]
 
-
-# ----------------------------------------------------------------------
-# Array warmup
-# ----------------------------------------------------------------------
-#: Alloy predictor types whose warmup training the array path reproduces
-#: (``None`` is the no-predictor Alloy; SAM/PAM/perfect never train).
-_WARM_PREDICTORS = (
-    type(None),
-    MissMap,
-    MapIPredictor,
-    MapGPredictor,
-    SamPredictor,
-    PamPredictor,
-    PerfectPredictor,
-)
-
-
-def _warm_arrays(system, starts) -> bool:
-    """:meth:`System._warm`'s hook on the batch path: bring
-    ``system.design`` to its post-warmup state with numpy. Returns False,
-    having touched nothing, for the designs it does not cover: the
-    set-associative ones (SRAM-tag, LH-Cache, multi-way Alloy) and the
-    victim-buffer Alloy, which warm in a generated loop (:func:`_warm_loop`).
-
-    Replay order is core 0's warmup slice, then core 1's, and so on.
-    IDEAL-LO and the 1-way Alloy warm a direct-mapped store
-    (:func:`_warm_direct_mapped`); the Alloy then trains MAP-I or MAP-G on
-    the warmup reads in one flat loop. Designs whose ``warm`` is the base
-    no-op have nothing to replay.
-    """
-    design = system.design
-    kind = type(design)
-    if kind.warm is DramCacheDesign.warm:
-        return True
-    if kind is IdealLODesign:
-        store, predictor = design.cache, None
-    elif kind is AlloyCacheDesign and design.cache.ways == 1:
-        store, predictor = design.cache._store, design.predictor
-        if type(predictor) not in _WARM_PREDICTORS:
-            return False
-    else:
-        return False
-    if type(store) is not DirectMappedCache:
-        return False
-    if not sum(starts):
-        return True
-    slices = list(zip(system.workload.cores, starts))
-    addr = np.concatenate([t.addresses[:k] for t, k in slices])
-    write = np.concatenate([t.is_write[:k] for t, k in slices])
-    write = write.astype(bool, copy=False)
-    ptype = type(predictor)
-    hit = _warm_direct_mapped(
-        store,
-        addr.astype(np.int64, copy=False),
-        write,
-        predictor if ptype is MissMap else None,
-    )
-    if ptype is not MapIPredictor and ptype is not MapGPredictor:
-        return True
-    reads = ~write
-    miss = (~hit[reads]).tolist()
-    core = np.repeat(np.arange(len(starts)), starts)[reads].tolist()
-    if ptype is MapIPredictor:
-        pcs = np.concatenate([t.pcs[:k] for t, k in slices])[reads]
-        rows = map(predictor._mact.__getitem__, core)
-        slots = _mact_indices(pcs, predictor._index_bits)
-    else:  # MAP-G: one counter per core
-        rows = repeat(predictor._mac)
-        slots = core
-    # MemoryAccessPredictor.update, read by read: saturating 3-bit MACs.
-    for row, i, went in zip(rows, slots, miss):
-        mac = row[i]
-        if went:
-            row[i] = mac + 1 if mac < MAC_MAX else MAC_MAX
-        else:
-            row[i] = mac - 1 if mac > 0 else 0
-    return True
-
-
-def _warm_direct_mapped(store, addr, write, missmap=None):
-    """Apply a warmup replay to a :class:`DirectMappedCache` — for each
-    record in order, ``lookup`` and then ``fill`` on a read miss — and
-    return each record's hit flag, in replay order.
-
-    A record hits iff the last earlier *read* to its set had its address
-    (writes never fill); with no such read, the set's tag before warmup
-    decides. Sorting the records stably by set makes each set's records
-    one segment in replay order, so running maxima over positions find
-    each record's last earlier read and its last earlier dirty-bit event
-    (a write hit sets the bit, a fill clears it; a dirty bit read at a
-    fill is a dirty eviction). The store's tags, dirty bits and counters
-    end as the replay leaves them, counters created in the order the
-    replay first touches them. A MissMap (which mirrors the tag array)
-    swaps each changed set's old tag for its new one.
-    """
-    n = len(addr)
-    sets = addr % store.num_sets
-    order = np.argsort(sets, kind="stable")
-    s = sets[order]
-    a = addr[order]
-    w = write[order]
-    pos = np.arange(n)
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(s[1:], s[:-1], out=head[1:])
-    first = np.flatnonzero(head)  # segment starts
-    seg = np.cumsum(head) - 1  # segment id per record
-    seg_start = first[seg]
-    touched = s[first].tolist()
-    tags, dirty_bits = store._tags, store._dirty
-    tag0 = np.array([tags[i] for i in touched], dtype=np.int64)
-    dirty0 = np.array([dirty_bits[i] for i in touched], dtype=bool)
-
-    def latest(mask):
-        """(last ``mask`` position strictly before each record in its
-        segment or -1, last ``mask`` position up to each record)."""
-        upto = np.maximum.accumulate(np.where(mask, pos, -1))
-        before = np.empty(n, dtype=np.int64)
-        before[0] = -1
-        before[1:] = upto[:-1]
-        return np.where(before >= seg_start, before, -1), upto
-
-    prev_read, read_upto = latest(~w)
-    tag = np.where(prev_read >= 0, a[prev_read], tag0[seg])
-    hit = tag == a
-    fill = ~w & ~hit
-    write_hit = w & hit
-    prev_event, event_upto = latest(write_hit | fill)
-    dirty = np.where(prev_event >= 0, write_hit[prev_event], dirty0[seg])
-    evict = fill & (tag != -1)
-
-    end = np.append(first[1:], n) - 1  # segment ends
-    last_read = read_upto[end]
-    last_event = event_upto[end]
-    final_tag = np.where(last_read >= first, a[last_read], tag0)
-    final_dirty = np.where(last_event >= first, write_hit[last_event], dirty0)
-    for i, t, d in zip(touched, final_tag.tolist(), final_dirty.tolist()):
-        tags[i] = t
-        dirty_bits[i] = d
-    if missmap is not None:
-        changed = final_tag != tag0
-        swap = _cached(_MISSMAP_SWAP, "missmap_swap", {"family": "missmap"})
-        swap(missmap, tag0[changed].tolist(), final_tag[changed].tolist())
-
-    tallies = []
-    for rank, (name, mask) in enumerate(
-        (
-            ("hits", hit),
-            ("misses", ~hit),
-            ("fills", fill),
-            ("evictions", evict),
-            ("dirty_evictions", evict & dirty),
-        )
-    ):
-        count = int(np.count_nonzero(mask))
-        if count:
-            tallies.append((int(order[mask].min()), rank, name, count))
-    for _, _, name, count in sorted(tallies):
-        store.stats.counter(name).value += count
-
-    in_order = np.empty(n, dtype=bool)
-    in_order[order] = hit
-    return in_order
-
-
-def _mact_indices(pcs_np, index_bits):
-    """Vectorized :func:`repro.core.predictors.folded_xor` over a PC array."""
-    value = pcs_np.astype(np.uint64)
-    mask = np.uint64((1 << index_bits) - 1)
-    shift = np.uint64(index_bits)
-    folded = np.zeros_like(value)
-    while value.any():
-        folded ^= value & mask
-        value >>= shift
-    return folded.astype(np.int64).tolist()
 
 # ----------------------------------------------------------------------
 # Kernel generation
@@ -841,20 +670,10 @@ def _kernel(family, system):
 
 
 def _warm_loop(design):
-    """The flat warmup loop generated for a set-associative or victim
-    design, or None for any other design."""
-    kind = type(design)
-    if kind is SramTagDesign:
-        family = "sram"
-    elif kind is LHCacheDesign:
-        family = "lh"
-    elif kind is AlloyVictimDesign or (
-        kind is AlloyCacheDesign and design.cache.ways != 1
-    ):
-        family = "alloy"
-    else:
-        return None
-    if _select_kernel(design) is None:
+    """The flat warmup loop generated for ``design``'s configuration, or
+    None for no-cache, which keeps no state to warm."""
+    family = _family(design)
+    if family == "no_cache":
         return None
     flags = _design_flags(family, design)
     flags.update(family=family, warm=True)
@@ -1208,6 +1027,52 @@ getrandbits = pol._rng.getrandbits
 """,
 )
 
+# DirectMappedCache.lookup; ``hit`` tells a hit from a miss.
+_snippet(
+    "dm_lookup",
+    "addr i write",
+    """
+hit = tags[$i] == $addr
+if hit:
+#if $write
+    dirty[$i] = True
+#endif
+#if warm
+    if not st_h:
+        hit_at = (st_m, st_f, st_ev, st_dev)
+#endif
+    st_h += 1
+else:
+    st_m += 1
+""",
+)
+
+# DirectMappedCache.fill. ``ev_addr`` is the evicted line, -1 when nothing
+# was evicted.
+_snippet(
+    "dm_fill",
+    "addr i dirty=False",
+    """
+old = tags[$i]
+ev_addr = -1
+ev_dirty = False
+if old != $addr:
+    if old != -1:
+        ev_addr = old
+        ev_dirty = dirty[$i]
+        st_ev += 1
+        if ev_dirty:
+            st_dev += 1
+    tags[$i] = $addr
+    dirty[$i] = $dirty
+    st_f += 1
+#if "$dirty" != "False"
+elif $dirty:
+    dirty[$i] = True
+#endif
+""",
+)
+
 _snippet(
     "mm_setup",
     "missmap",
@@ -1245,17 +1110,6 @@ if $addr in mm_present:
         del mm_pop[seg]
 """,
 )
-
-# A direct-mapped array's warmup, as the MissMap that mirrors it sees it:
-# each changed set's new line is inserted, then its old line removed.
-_MISSMAP_SWAP = """
-def $name(missmap, olds, news):
-    @mm_setup(missmap=missmap)
-    for old, new in zip(olds, news):
-        @mm_insert(addr=new)
-        if old != -1:
-            @mm_remove(addr=old)
-"""
 
 # AlloyVictimDesign._stash_victim_functional: victims.fill(ev, dirty=ev_d)
 # on the buffer's single LRU set; a dirty line falling out is written back
@@ -1309,44 +1163,9 @@ was_d = vdirty[vway]
 del vimap[$addr]
 vtags[vway] = -1
 vdirty[vway] = False
-old = tags[$i]
-if old == $addr:
-    if was_d:
-        dirty[$i] = True
-elif old != -1:
-    disp_d = dirty[$i]
-    st_ev += 1
-    if disp_d:
-        st_dev += 1
-    tags[$i] = $addr
-    dirty[$i] = was_d
-    st_f += 1
-    @stash(ev=old, ev_d=disp_d)
-else:
-    tags[$i] = $addr
-    dirty[$i] = was_d
-    st_f += 1
-""",
-)
-
-# DirectMappedCache.fill (clean) for the Alloy array.
-_snippet(
-    "dm_fill",
-    "addr i",
-    """
-old = tags[$i]
-ev_addr = -1
-ev_dirty = False
-if old != $addr:
-    if old != -1:
-        ev_addr = old
-        ev_dirty = dirty[$i]
-        st_ev += 1
-        if ev_dirty:
-            st_dev += 1
-    tags[$i] = $addr
-    dirty[$i] = False
-    st_f += 1
+@dm_fill(addr=$addr, i=$i, dirty=was_d)
+if ev_addr != -1:
+    @stash(ev=ev_addr, ev_d=ev_dirty)
 """,
 )
 
@@ -1631,13 +1450,11 @@ _snippet(
     """
 addr = A[g]
 i = SI[g]
-if tags[i] == addr:
-    dirty[i] = True
-    st_h += 1
+@dm_lookup(addr=addr, i=i, write=True)
+if hit:
     n_wh += 1
     push(heap, (now, seq, 3, g, 0))
 else:
-    st_m += 1
     n_wm += 1
     push(heap, (now, seq, 1, addr, 0))
 seq += 1
@@ -1650,8 +1467,8 @@ _snippet(
     """
 addr = A[g]
 i = SI[g]
-if tags[i] == addr:
-    st_h += 1
+@dm_lookup(addr=addr, i=i, write=False)
+if hit:
     @stacked_row(at=g)
     @demand(d=s, now=arrival, burst=s_lb, bytes=s_flb, q=q, serv=serv, hits=n_drh)
     lat = done - arrival
@@ -1660,7 +1477,6 @@ if tags[i] == addr:
     da(serv)
     mma(0.0)
 else:
-    st_m += 1
     n_mr += 1
     @memory_read(now=arrival, q=q, serv=serv)
     push(heap, (done if done >= now else now, seq, 2, g, 0))
@@ -1682,21 +1498,13 @@ elif kind == 2:
     # DirectMappedCache.fill; a dirty victim is read out, then written back.
     addr = A[a]
     i = SI[a]
-    old = tags[i]
-    t = now
+    @dm_fill(addr=addr, i=i)
     @stacked_row(at=a)
-    if old != addr:
-        if old != -1:
-            st_ev += 1
-            if dirty[i]:
-                st_dev += 1
-                @background(d=s, now=t, burst=s_lb, bytes=s_flb, write=False, done=vdone)
-                push(heap, (vdone if vdone >= now else now, seq, 1, old, 0))
-                seq += 1
-                t = vdone
-        tags[i] = addr
-        dirty[i] = False
-        st_f += 1
+    t = now
+    if ev_dirty:
+        @background(d=s, now=now, burst=s_lb, bytes=s_flb, write=False, done=t)
+        push(heap, (t, seq, 1, ev_addr, 0))
+        seq += 1
     @background(d=s, now=t, burst=s_lb, bytes=s_flb)
     n_fills += 1
 else:
@@ -2057,26 +1865,59 @@ qa, pa, ta, da, mma = stq.append, stp.append, stt.append, std.append, stm.append
 """,
 )
 
+# The TAD array's lookup of ``addr`` in set ``i``; ``hit`` tells a hit.
+_snippet(
+    "alloy_lookup",
+    "write",
+    """
+#if ways1
+@dm_lookup(addr=addr, i=i, write=$write)
+#else
+@sa_lookup(addr=addr, i=i, write=$write)
+hit = way is not None
+#endif
+""",
+)
+
+# Fill the TAD array with ``addr``: the MissMap follows the array, and the
+# displaced line drops into the victim buffer or, if dirty, is written back
+# (the warmup replays no writebacks).
+_snippet(
+    "alloy_fill",
+    "",
+    """
+#if ways1
+@dm_fill(addr=addr, i=i)
+#else
+@sa_fill(addr=addr, i=i)
+#endif
+#if pred == "missmap"
+@mm_insert(addr=addr)
+if ev_addr != -1:
+    @mm_remove(addr=ev_addr)
+#endif
+#if victim
+if ev_addr != -1:
+    @stash(ev=ev_addr, ev_d=ev_dirty)
+#elif not warm
+if ev_dirty:
+    push(heap, (now, seq, 1, ev_addr, 0))
+    seq += 1
+#endif
+""",
+)
+
 _snippet(
     "alloy_write",
     "",
     """
 addr = A[g]
 i = SI[g]
-#if ways1
-if tags[i] == addr:
-    dirty[i] = True
-    st_h += 1
-#else
-@sa_lookup(addr=addr, i=i, write=True)
-if way is not None:
-#endif
+@alloy_lookup(write=True)
+if hit:
     n_wh += 1
     push(heap, (now, seq, 4, g, 1))
 else:
-#if ways1
-    st_m += 1
-#endif
     n_wm += 1
     push(heap, (now, seq, 4, g, 0))
 seq += 1
@@ -2126,12 +1967,7 @@ _snippet(
     "alloy_array_read",
     "",
     """
-#if ways1
-hit = tags[i] == addr
-#else
-@sa_lookup(addr=addr, i=i, write=False)
-hit = way is not None
-#endif
+@alloy_lookup(write=False)
 #if pred == "map-i"
 p = row_m[i2] >= mac_msb
 #elif pred == "map-g"
@@ -2165,9 +2001,6 @@ pd = pready - arrival
 bu = BU[g]
 @demand(d=s, now=pready, burst=bu, bytes=tad_bytes[bu], fixed=False, done=done_t, q=q_t, serv=serv_t, hits=n_trh)
 if hit:
-#if ways1
-    st_h += 1
-#endif
     if p:
         s_mc += 1
         # A wasted parallel memory read: bandwidth only.
@@ -2187,9 +2020,6 @@ if hit:
     gap = lat - (q_t + pd + serv_t)
     @train(went=False)
 else:
-#if ways1
-    st_m += 1
-#endif
     n_mr += 1
     if p:
         # PAM: memory in parallel; its data waits for the tag check.
@@ -2238,24 +2068,7 @@ elif kind == 2:
     # Fill the TAD array; the probe already streamed the victim out.
     addr = A[a]
     i = SI[a]
-#if ways1
-    @dm_fill(addr=addr, i=i)
-#else
-    @sa_fill(addr=addr, i=i)
-#endif
-#if pred == "missmap"
-    @mm_insert(addr=addr)
-    if ev_addr != -1:
-        @mm_remove(addr=ev_addr)
-#endif
-#if victim
-    if ev_addr != -1:
-        @stash(ev=ev_addr, ev_d=ev_dirty)
-#else
-    if ev_dirty:
-        push(heap, (now, seq, 1, ev_addr, 0))
-        seq += 1
-#endif
+    @alloy_fill()
     @stacked_row(at=a)
     bu = BU[a]
     @background(d=s, now=now, burst=bu, bytes=tad_bytes[bu], fixed=False)
@@ -2320,15 +2133,17 @@ _writeback_reads(
 # Templates: the flat warmup loop
 # ----------------------------------------------------------------------
 # Each record as ``design.warm`` replays it, built from the kernels' own
-# lookup, fill and replacement bodies: SRAM-Tag and LH-Cache fill on a
-# read miss (LH-Cache keeps its MissMap in step); multi-way Alloy also
-# trains its predictor; the victim Alloy serves a read from its buffer
+# lookup, fill and replacement bodies: every design fills on a read miss
+# (LH-Cache and the MissMap Alloy keep their MissMap in step); the Alloy
+# also trains its predictor; the victim Alloy serves a read from its buffer
 # when it can, and its dirty overflow is appended to ``overflow``.
 _WARM = """
 def $name(system, starts, overflow):
     design = system.design
 #if family in ("sram", "lh")
     store = design.tags
+#elif family == "ideal_lo"
+    store = design.cache
 #else
     store = design.cache._store
     @predictor_setup()
@@ -2336,7 +2151,7 @@ def $name(system, starts, overflow):
 #if family == "lh"
     @mm_setup(missmap=design.missmap)
 #endif
-#if ways1 and family == "alloy"
+#if family == "ideal_lo" or family == "alloy" and ways1
     tags = store._tags
     dirty = store._dirty
 #else
@@ -2393,6 +2208,19 @@ else:
 )
 
 _snippet(
+    "ideal_lo_warm",
+    "",
+    """
+if w:
+    @dm_lookup(addr=addr, i=i, write=True)
+else:
+    @dm_lookup(addr=addr, i=i, write=False)
+    if not hit:
+        @dm_fill(addr=addr, i=i)
+""",
+)
+
+_snippet(
     "alloy_warm",
     "",
     """
@@ -2402,34 +2230,15 @@ if not w and addr in vimap:
     @swap_back(addr=addr, i=i)
     @train(went=False)
     continue
-if tags[i] == addr:
-    if w:
-        dirty[i] = True
-    if not st_h:
-        hit_at = (st_m, st_f, st_ev, st_dev)
-    st_h += 1
-    if not w:
-        @train(went=False)
-else:
-    st_m += 1
-    if not w:
-        @dm_fill(addr=addr, i=i)
-        if ev_addr != -1:
-            @stash(ev=ev_addr, ev_d=ev_dirty)
-        @train(went=True)
-#else
-if w:
-    @sa_lookup(addr=addr, i=i, write=True)
-else:
-    @sa_lookup(addr=addr, i=i, write=False)
-    if way is None:
-        @sa_fill(addr=addr, i=i)
-#if pred == "missmap"
-        @mm_insert(addr=addr)
-        if ev_addr != -1:
-            @mm_remove(addr=ev_addr)
 #endif
+if w:
+    @alloy_lookup(write=True)
+else:
+    @alloy_lookup(write=False)
+    if not hit:
+        @alloy_fill()
         @train(went=True)
+#if pred in ("map-i", "map-g")
     else:
         @train(went=False)
 #endif

@@ -45,9 +45,6 @@ Environment knobs:
   on).
 * ``REPRO_TRACE_CACHE=0`` — disable the on-disk ``.npz`` trace arenas
   (see :mod:`repro.workloads.arena`).
-* ``REPRO_SHARED_TRACES=0`` — disable the shared-memory fan-out and the
-  persistent pool; parallel sweeps fall back to an ephemeral pool whose
-  workers build workloads themselves (kept as a comparison/escape hatch).
 * ``REPRO_JOBS`` — default worker count for the experiment-layer sweeps.
 """
 
@@ -107,9 +104,10 @@ def cache_enabled() -> bool:
 
 
 def shared_traces_enabled() -> bool:
-    """Whether the shared-workload fabric is on (``REPRO_SHARED_TRACES=0``
-    falls back to ephemeral pools with worker-side workload builds)."""
-    return os.environ.get("REPRO_SHARED_TRACES", "1") != "0"
+    """Always True: parallel sweeps always share workloads through memory.
+    Kept for the benchmark's knob report (``perfbench/common.py``'s
+    ``resolved_knobs``), which still reads it."""
+    return True
 
 
 def default_workers() -> int:
@@ -268,6 +266,11 @@ class ResultCache:
     ) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.persist = cache_enabled() if persist is None else persist
+        #: Where sweeps through this cache keep their trace arenas: next to
+        #: its cells, so ``repro cache`` stats, prune and clear see them. A
+        #: cache that writes nothing leaves its directory untouched, and
+        #: None keeps the arenas under ``REPRO_CACHE_DIR``.
+        self.trace_dir = self.directory / TRACE_SUBDIR if self.persist else None
         self._memory: Dict[str, Tuple[SimResult, Dict]] = {}
         self.hits = 0
         self.misses = 0
@@ -491,17 +494,14 @@ def _attach_cached(handle: SharedWorkloadHandle):
 
 def _worker(
     cell: SweepCell,
-    cache_dir: Optional[str],
+    cache_dir: str,
     persist: bool,
-    handle: Optional[SharedWorkloadHandle] = None,
+    handle: SharedWorkloadHandle,
 ) -> Tuple[SimResult, Dict]:
-    """Pool entry point: run the cell and persist it before returning, so a
-    crashed parent still finds the completed cell on the next run.
-
-    With a :class:`SharedWorkloadHandle` the workload comes zero-copy from
-    the parent's shared-memory segment; without one (fabric disabled) the
-    worker materializes it through its own arena — the explicit
-    ``cache_dir`` keeps forked workers honest when tests repoint
+    """Pool entry point: run the cell on the workload in the parent's
+    shared-memory segment (zero-copy) and persist it before returning, so
+    a crashed parent still finds the completed cell on the next run. The
+    explicit ``cache_dir`` keeps forked workers honest when tests repoint
     ``REPRO_CACHE_DIR`` after the pool was spawned.
     """
     kill = os.environ.get("REPRO_TEST_KILL_CELL")
@@ -510,16 +510,10 @@ def _worker(
         # interrupted-resume smoke: die exactly like a hard worker crash,
         # which the parent observes as BrokenProcessPool.
         os.kill(os.getpid(), signal.SIGKILL)
-    workload = None
-    trace_telemetry = None
-    if handle is not None:
-        workload, trace_telemetry = _attach_cached(handle)
-    trace_dir = Path(cache_dir) / TRACE_SUBDIR if cache_dir else None
-    result, telemetry = _execute_cell(
-        cell, workload, trace_telemetry, trace_dir=trace_dir
-    )
+    workload, trace_telemetry = _attach_cached(handle)
+    result, telemetry = _execute_cell(cell, workload, trace_telemetry)
     if persist:
-        cache = ResultCache(Path(cache_dir) if cache_dir else None, persist=True)
+        cache = ResultCache(Path(cache_dir), persist=True)
         cache.put(cell.key(), result, telemetry, _cell_describe(cell))
     return result, telemetry
 

@@ -292,7 +292,6 @@ class TestIncrementalReporting:
         is still building a later row's trace, not after the last one."""
         from repro.workloads.arena import WorkloadArena
 
-        monkeypatch.delenv("REPRO_SHARED_TRACES", raising=False)
         submitted = []
         real_get_pool = _par._get_pool
 

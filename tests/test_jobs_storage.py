@@ -32,12 +32,8 @@ def tiny_cells(reads=200):
 def populated(tmp_path):
     cache = ResultCache(tmp_path, persist=True)
     job = create_job("store", tiny_cells(), cache_dir=tmp_path)
+    # The sweep writes its one trace arena (sphinx_r) next to the cells.
     submit_job(job, cache=cache)
-    # The shared trace arena writes under the session-wide cache dir, not
-    # this test's; plant one arena file so the traces kind is exercised.
-    traces = tmp_path / "traces"
-    traces.mkdir(exist_ok=True)
-    (traces / ("0" * 8 + ".npz")).write_bytes(b"x" * 512)
     return job
 
 

@@ -59,6 +59,39 @@ class TestCliExtras:
         out = capsys.readouterr().out
         assert out.index("== table4") < out.index("== fig1")
 
+    def test_jobs_runs_experiments_whose_sweeps_fan_out(self, tmp_path):
+        """With REPRO_JOBS > 1 each experiment worker starts its own sweep
+        pool, so the workers must be allowed children. The parallel run is
+        a fresh process, as from the command line."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.experiments.registry import run_experiments
+
+        ids = ["burst8", "twoway"]
+        code = (
+            "from repro.experiments.registry import run_experiments\n"
+            f"for _, result, _ in run_experiments({ids!r}, quick=True, jobs=2):\n"
+            "    print(result.render())\n"
+        )
+        env = dict(os.environ)
+        env.update(
+            PYTHONPATH="src", REPRO_JOBS="2", REPRO_CACHE_DIR=str(tmp_path)
+        )
+        nested = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert nested.returncode == 0, nested.stderr
+        serial = run_experiments(ids, quick=True)
+        assert nested.stdout == "".join(
+            result.render() + "\n" for _, result, _ in serial
+        )
+
 
 class TestHistogramPercentiles:
     def test_percentile_basic(self):

@@ -492,6 +492,20 @@ class TestMetricsEndpoint:
         assert b"1024" in reply
         assert not [r.getMessage() for r in caplog.records if r.name == "asyncio"]
 
+    def test_over_limit_request_line_is_answered_414(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(server_module, "MAX_LINE_BYTES", 1024)
+        request = b"GET /" + b"x" * 4096 + b" HTTP/1.0\r\n\r\n"
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with ServerThread(serve_config(tmp_path)) as server:
+                reply = self._raw(server.port, request)
+                with ServeClient(port=server.port) as client:
+                    assert client.ping()["event"] == "pong"
+        assert reply.startswith(b"HTTP/1.0 414 URI Too Long")
+        assert b"1024" in reply
+        assert not [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+
     def test_client_dropping_mid_headers_is_quiet(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with ServerThread(serve_config(tmp_path)) as server:

@@ -484,8 +484,7 @@ def _variant(design, **overrides):
 
     config = _config(**overrides)
     system = System(config, design, _workload(config, reads=20))
-    family = batch._select_kernel(system.design).__name__[len("_run_"):]
-    return batch._kernel(family, system)
+    return batch._kernel(batch._family(system.design), system)
 
 
 class TestGeneration:

@@ -162,6 +162,22 @@ class TestPersistentCache:
         run_sweep(tiny_cells(), max_workers=1, cache=cache, use_cache=False)
         assert not (tmp_path / "off").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trace_arenas_live_under_the_given_cache_dir(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """A sweep given a cache directory keeps its trace arenas there,
+        where ``repro cache stats``, ``prune`` and ``clear`` look, not
+        under ``REPRO_CACHE_DIR``."""
+        from repro.jobs.storage import cache_stats
+
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+        given = ResultCache(tmp_path / "given", persist=True)
+        run_sweep(tiny_cells(), max_workers=workers, cache=given)
+        assert cache_stats(given.directory).traces.count == len(BENCHMARKS)
+        assert not (elsewhere / "traces").exists()
+
     def test_duplicate_cells_simulated_once(self, cache):
         cell = tiny_cells()[0]
         report = run_sweep([cell, cell], max_workers=1, cache=cache)
