@@ -298,7 +298,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="process-pool width used for every job (default 1)",
+        help=(
+            "process-pool width for every job's uncached cells (default 1: "
+            "they simulate in the server process, on a worker thread)"
+        ),
     )
     parser.add_argument(
         "--job-slots",
@@ -1079,21 +1082,20 @@ def _breakdown_main(argv: List[str]) -> int:
     return 0
 
 
-def _trace_cells(paths, format, designs, warmup_fraction, seed, trace_dir):
+def _trace_cells(paths, format, designs, warmup_fraction, seed, arena):
     """Decode external trace files into sweep cells (plus their specs).
 
     Each file becomes one workload column: its cells carry the content-
     keyed ``trace:`` spec as the benchmark, a config with ``num_cores``
     taken from the decoded workload (k6/mase streams are single-core),
     and ``reads_per_core=0`` (the file defines its own length). The
-    decoded workload is adopted into the sweep's arena (``trace_dir``) so
-    its fetch is a memo hit rather than a second streaming decode.
+    decoded workload is adopted into the sweep's ``arena`` so its fetch
+    is a memo hit rather than a second streaming decode.
     """
     from dataclasses import replace
 
     from repro.sim.config import SystemConfig
     from repro.sim.parallel import SweepCell
-    from repro.workloads.arena import get_workload_arena
     from repro.workloads.tracefile import trace_workload_spec, workload_from_spec
 
     cells = []
@@ -1114,7 +1116,7 @@ def _trace_cells(paths, format, designs, warmup_fraction, seed, trace_dir):
                     seed=seed,
                 )
             )
-        get_workload_arena(trace_dir).adopt(cells[-1].workload_params(), workload)
+        arena.adopt(cells[-1].workload_params(), workload)
     return cells, specs
 
 
@@ -1205,7 +1207,7 @@ def _sweep_main(argv: List[str]) -> int:
                     grid,
                     warmup_fraction=args.warmup,
                     seed=args.seed,
-                    trace_dir=cache.trace_dir,
+                    arena=cache.arena(),
                 )
             except (OSError, ValueError) as exc:
                 print(f"sweep: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ from repro.sim.results import SimResult
 from repro.workloads.arena import (
     SharedWorkloadHandle,
     acquire_shared_workload,
-    get_workload_arena,
     release_shared_workload,
 )
 
@@ -192,11 +191,10 @@ def _execute_cells(
     parent_trace_seconds = 0.0
 
     if pending and max_workers == 1:
+        arena = cache.arena()
         for key, indices in pending.items():
             cell = cells[indices[0]]
-            result, telemetry = _par._execute_cell(
-                cell, trace_dir=cache.trace_dir
-            )
+            result, telemetry = _par._execute_cell(cell, arena=arena)
             if use_cache:
                 cache.put(key, result, telemetry, _par._cell_describe(cell))
             _finish(key, result, telemetry)
@@ -220,7 +218,7 @@ def _execute_cells(
 
         try:
             pool = _par._get_pool(max_workers)
-            arena = get_workload_arena(cache.trace_dir)
+            arena = cache.arena()
             for key, indices in pending.items():
                 # Report cells that finished while the parent was
                 # building later rows' traces.

@@ -30,7 +30,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -147,7 +147,7 @@ def cell_to_dict(cell: SweepCell) -> Dict:
         "seed": cell.seed,
         "reads_per_core": cell.reads_per_core,
         "warmup_fraction": cell.warmup_fraction,
-        "config": asdict(cell.config),
+        "config": cell.config.to_dict(),
     }
 
 

@@ -12,7 +12,9 @@ interleave several in-flight jobs. Server -> client messages carry an
   the journal already covers.
 * ``cell`` — one completed cell, streamed the moment it finishes
   (journal replays and cache hits included), with full telemetry.
-* ``done`` — the finished :class:`~repro.sim.parallel.SweepReport`.
+* ``done`` — the finished :class:`~repro.sim.parallel.SweepReport`,
+  every cell included again (the server splices in the texts its
+  ``cell`` events carried: :func:`encode_with`, :func:`report_text`).
 * ``error`` — the request failed; ``code`` is machine-readable
   (``rate-limited`` / ``queue-full`` / ``too-many-jobs`` / ``draining``
   / ``bad-request`` / ``job-failed``).
@@ -27,7 +29,7 @@ asserts ``asdict`` equality against an in-process ``run_sweep``.
 from __future__ import annotations
 
 import json
-from typing import Dict, Union
+from typing import Dict, Iterable, Union
 
 from repro.jobs.manager import cell_from_dict, cell_to_dict
 from repro.sim.parallel import CellResult, SweepReport
@@ -47,11 +49,31 @@ ERROR_CODES = (
 )
 
 
+def dumps(value) -> str:
+    """Canonical JSON text: compact and key-sorted, as every line is."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def encode(message: Dict) -> bytes:
     """One NDJSON line (newline-terminated, compact, key-sorted)."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
+    return (dumps(message) + "\n").encode("utf-8")
+
+
+def dumps_with(message: Dict, key: str, text: str) -> str:
+    """``dumps({**message, key: value})`` for a ``value`` whose
+    :func:`dumps` text is ``text``: the same characters, without encoding
+    ``value`` again. Keys sort as :func:`dumps` sorts them, so ``text``
+    lands between the keys before ``key`` and the keys after it."""
+    before = dumps({k: v for k, v in message.items() if k < key})[1:-1]
+    after = dumps({k: v for k, v in message.items() if k > key})[1:-1]
+    parts = (before, f"{dumps(key)}:{text}", after)
+    return "{" + ",".join(part for part in parts if part) + "}"
+
+
+def encode_with(message: Dict, key: str, text: str) -> bytes:
+    """:func:`encode` of ``message`` with ``key`` set to the value that
+    ``text`` encodes (see :func:`dumps_with`)."""
+    return (dumps_with(message, key, text) + "\n").encode("utf-8")
 
 
 def decode(line: Union[bytes, str]) -> Dict:
@@ -100,6 +122,21 @@ def report_to_dict(report: SweepReport) -> Dict:
     """A finished sweep as JSON-safe primitives (``done`` payload)."""
     return {
         "cells": [cell_result_to_dict(c) for c in report.cells],
+        **_report_summary(report),
+    }
+
+
+def report_text(report: SweepReport, cell_texts: Iterable[str]) -> str:
+    """``dumps(report_to_dict(report))`` from each cell's
+    ``dumps(cell_result_to_dict(cell))`` text, in ``report.cells`` order:
+    the server streamed every cell already and splices its text in."""
+    return dumps_with(
+        _report_summary(report), "cells", "[" + ",".join(cell_texts) + "]"
+    )
+
+
+def _report_summary(report: SweepReport) -> Dict:
+    return {
         "max_workers": report.max_workers,
         "elapsed_seconds": report.elapsed_seconds,
         "workloads_unique": report.workloads_unique,

@@ -21,7 +21,14 @@ threads, and *all shared state owned by the loop thread*.
   every completed cell — journal replays, cache hits, fresh executions —
   and is marshalled from the worker thread into the event loop with
   ``call_soon_threadsafe``, so clients see ``cell`` events the moment
-  cells finish, all of them strictly before ``done``.
+  cells finish, all of them strictly before ``done``. Each cell payload
+  is JSON-encoded once: ``done`` repeats every cell, and splices in the
+  texts the ``cell`` events carried rather than encoding them again.
+* **Cached jobs stay on the loop.** A job that is ephemeral, uses the
+  cache, and finds every key in the cache's memory tier simulates
+  nothing and touches no file. Its ``submit_job`` call runs on the event
+  loop itself (counted in ``jobs_inline``); any other job makes the same
+  call on a worker thread.
 * **Graceful drain.** SIGTERM/SIGINT (or an explicit ``drain()``) stops
   accepting work: new submits get ``draining``, running jobs finish and
   stream their results, sessions get ``bye``, and shutdown releases the
@@ -31,20 +38,23 @@ threads, and *all shared state owned by the loop thread*.
   queue depth, cells served, cache hit-rate, simulated events/sec,
   segment-pool occupancy.
 
-Every job runs with the same ``workers`` pool width, so the persistent
-process pool is grown once and never thrashed by interleaved jobs.
+With ``workers`` at 1 (the default), a job's uncached cells simulate
+in the server process, on the job's worker thread. A larger ``workers``
+runs them on the persistent process pool at that width for every job,
+so the pool is grown once and never thrashed by interleaved jobs.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Union
 
 from repro import __version__
 from repro.jobs import create_job, ephemeral_job, open_job, submit_job
@@ -53,9 +63,11 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     cell_result_to_dict,
     decode,
+    dumps,
     encode,
+    encode_with,
     render_metrics,
-    report_to_dict,
+    report_text,
 )
 from repro.sim.parallel import CellResult, ResultCache, shutdown_worker_pool
 from repro.workloads.arena import (
@@ -76,7 +88,8 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: let the kernel pick (the bound port is reported)
-    #: Process-pool width used for *every* job (one fixed size, no thrash).
+    #: Process-pool width for every job's uncached cells (one fixed size,
+    #: no thrash); 1 simulates them in this process, on a worker thread.
     workers: int = 1
     #: Jobs simulating concurrently; more wait for a slot.
     job_slots: int = 2
@@ -109,6 +122,8 @@ class ServeStats:
     jobs_completed: int = 0
     jobs_failed: int = 0
     jobs_rejected: int = 0
+    #: Jobs answered on the event loop, without a worker thread.
+    jobs_inline: int = 0
     rate_limited: int = 0
     cells_served: int = 0
     cells_from_cache: int = 0
@@ -136,6 +151,7 @@ class ServeStats:
             "jobs_completed": self.jobs_completed,
             "jobs_failed": self.jobs_failed,
             "jobs_rejected": self.jobs_rejected,
+            "jobs_inline": self.jobs_inline,
             "rate_limited": self.rate_limited,
             "cells_served": served,
             "cells_from_cache": self.cells_from_cache,
@@ -381,10 +397,16 @@ class ServeServer:
             await self._safe_send(writer, _too_long())
 
     async def _safe_send(
-        self, writer: asyncio.StreamWriter, message: Dict
+        self, writer: asyncio.StreamWriter, message: Union[Dict, bytes]
     ) -> None:
+        """Write one message, or one line :func:`encode` already made. A
+        client already gone is not an error, and gets no more writes."""
+        if writer.is_closing():
+            return
         try:
-            writer.write(encode(message))
+            writer.write(
+                message if isinstance(message, bytes) else encode(message)
+            )
             await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -438,7 +460,7 @@ class ServeServer:
         send_lock = asyncio.Lock()
         client_jobs = {"count": 0}
 
-        async def send(message: Dict) -> None:
+        async def send(message: Union[Dict, bytes]) -> None:
             async with send_lock:
                 await self._safe_send(writer, message)
 
@@ -621,10 +643,21 @@ class ServeServer:
             return create_job(name, cells, cache_dir=self.config.cache_dir)
         return ephemeral_job(cells)
 
+    def _answers_inline(self, job, use_cache: bool, keys: Set[str]) -> bool:
+        """Whether ``job`` needs nothing but the cache's memory tier: an
+        ephemeral job (no journal, no run lock) whose every key is there.
+        Its ``submit_job`` simulates nothing and touches no file, so it
+        runs on the event loop; a worker thread and the crossings back
+        would cost more than the job."""
+        return (
+            job.directory is None
+            and use_cache
+            and all(self.cache.in_memory(key) for key in keys)
+        )
+
     async def _run_job(
         self, job, use_cache: bool, send, tag, client_jobs: Dict[str, int]
     ) -> None:
-        loop = asyncio.get_running_loop()
         job_id = job.job_id
         keys = {cell.key() for cell in job.cells}
         queued = True  # jobs_queued was incremented at admission
@@ -646,54 +679,39 @@ class ServeServer:
                             }
                         )
                     )
-                    cell_queue: asyncio.Queue = asyncio.Queue()
-
-                    def on_cell(cell_result: CellResult) -> None:
-                        loop.call_soon_threadsafe(
-                            cell_queue.put_nowait, cell_result
-                        )
-
-                    worker = asyncio.ensure_future(
-                        asyncio.to_thread(
-                            submit_job,
-                            job,
-                            max_workers=self.config.workers,
-                            cache=self.cache,
-                            use_cache=use_cache,
-                            on_cell=on_cell,
-                        )
+                    run = functools.partial(
+                        submit_job,
+                        job,
+                        max_workers=self.config.workers,
+                        cache=self.cache,
+                        use_cache=use_cache,
                     )
-                    # Stream cells as they land. call_soon_threadsafe is
-                    # FIFO per thread, so every cell callback scheduled by
-                    # the worker runs before its completion wakes us —
-                    # by the time `worker` is done the queue holds every
-                    # remaining cell, drained below before `done` goes out.
-                    while True:
-                        getter = asyncio.ensure_future(cell_queue.get())
-                        await asyncio.wait(
-                            {getter, worker},
-                            return_when=asyncio.FIRST_COMPLETED,
+                    # Each cell's payload text, by CellResult identity: the
+                    # report holds the very objects that were streamed, so
+                    # `done` splices these texts in, encoding no cell twice.
+                    texts: Dict[int, str] = {}
+
+                    async def stream(cell_result: CellResult) -> None:
+                        texts[id(cell_result)] = await self._send_cell(
+                            send, tag, job_id, cell_result
                         )
-                        if getter.done():
-                            await self._send_cell(
-                                send, tag, job_id, getter.result()
-                            )
-                            continue
-                        getter.cancel()
-                        while not cell_queue.empty():
-                            await self._send_cell(
-                                send, tag, job_id, cell_queue.get_nowait()
-                            )
-                        break
-                    report = await worker  # re-raises job failures
+
+                    if self._answers_inline(job, use_cache, keys):
+                        self.stats.jobs_inline += 1
+                        answered = []
+                        report = run(on_cell=answered.append)
+                        for cell_result in answered:
+                            await stream(cell_result)
+                    else:
+                        report = await self._run_on_thread(run, stream)
                     self.stats.jobs_completed += 1
                     await send(
-                        tag(
-                            {
-                                "event": "done",
-                                "job_id": job_id,
-                                "report": report_to_dict(report),
-                            }
+                        encode_with(
+                            tag({"event": "done", "job_id": job_id}),
+                            "report",
+                            report_text(
+                                report, (texts[id(c)] for c in report.cells)
+                            ),
                         )
                     )
                 except Exception as exc:
@@ -716,19 +734,45 @@ class ServeServer:
                 self.stats.jobs_queued -= 1
             client_jobs["count"] -= 1
 
+    @staticmethod
+    async def _run_on_thread(run, stream):
+        """``run(on_cell=...)`` on a worker thread, streaming every cell
+        the moment it lands; returns the report (or raises its failure)."""
+        loop = asyncio.get_running_loop()
+        cell_queue: asyncio.Queue = asyncio.Queue()
+
+        def on_cell(cell_result: CellResult) -> None:
+            loop.call_soon_threadsafe(cell_queue.put_nowait, cell_result)
+
+        worker = asyncio.ensure_future(asyncio.to_thread(run, on_cell=on_cell))
+        # call_soon_threadsafe is FIFO per thread, so every cell callback
+        # scheduled by the worker runs before its completion wakes us — by
+        # the time `worker` is done the queue holds every remaining cell,
+        # drained below before the caller sends `done`.
+        while True:
+            getter = asyncio.ensure_future(cell_queue.get())
+            await asyncio.wait(
+                {getter, worker}, return_when=asyncio.FIRST_COMPLETED
+            )
+            if getter.done():
+                await stream(getter.result())
+                continue
+            getter.cancel()
+            while not cell_queue.empty():
+                await stream(cell_queue.get_nowait())
+            break
+        return await worker
+
     async def _send_cell(
         self, send, tag, job_id: str, cell_result: CellResult
-    ) -> None:
+    ) -> str:
+        """Stream one ``cell`` event; returns the payload's JSON text."""
         self.stats.note_cell(cell_result)
+        text = dumps(cell_result_to_dict(cell_result))
         await send(
-            tag(
-                {
-                    "event": "cell",
-                    "job_id": job_id,
-                    "data": cell_result_to_dict(cell_result),
-                }
-            )
+            encode_with(tag({"event": "cell", "job_id": job_id}), "data", text)
         )
+        return text
 
 
 # ----------------------------------------------------------------------

@@ -90,9 +90,22 @@ class SystemConfig:
         """Copy with a different capacity scale factor."""
         return replace(self, capacity_scale=capacity_scale)
 
+    def to_dict(self) -> dict:
+        """Every field as plain data, the two timing presets as nested dicts.
+
+        Equal to ``dataclasses.asdict(self)``, but a walk over the fields
+        rather than ``asdict``'s recursive deep copy, which cost ~70 µs:
+        every cell key, job manifest and served cell flattens its config.
+        """
+        out = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        for device in ("offchip", "stacked"):
+            timings = out[device]
+            out[device] = {name: getattr(timings, name) for name in _TIMING_FIELDS}
+        return out
+
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
-        """Rebuild a config from ``dataclasses.asdict`` output.
+        """Rebuild a config from :meth:`to_dict` output.
 
         The inverse of the flattening used by job manifests
         (:mod:`repro.jobs`): nested timing dicts become
@@ -111,3 +124,7 @@ class SystemConfig:
                     **{k: v for k, v in value.items() if k in timing_fields}
                 )
         return cls(**kwargs)
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(SystemConfig))
+_TIMING_FIELDS = tuple(f.name for f in fields(DramTimings))

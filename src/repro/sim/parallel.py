@@ -42,7 +42,7 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.repro_cache`` in the
   current working directory).
 * ``REPRO_CACHE=0`` — disable the on-disk result tier (memory tier stays
-  on).
+  on); sweeps through such a cache keep their traces in memory too.
 * ``REPRO_TRACE_CACHE=0`` — disable the on-disk ``.npz`` trace arenas
   (see :mod:`repro.workloads.arena`).
 * ``REPRO_JOBS`` — default worker count for the experiment-layer sweeps.
@@ -59,7 +59,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,6 +69,7 @@ from repro.sim.results import SimResult
 from repro.workloads.arena import (
     TRACE_SUBDIR,
     SharedWorkloadHandle,
+    WorkloadArena,
     WorkloadParams,
     attach_workload,
     get_workload_arena,
@@ -209,7 +210,7 @@ def _config_dict(config: SystemConfig) -> Dict:
     interpreter, so cached results are valid regardless of which engine
     produced them and the cache key must not fragment on it.
     """
-    flat = asdict(config)
+    flat = config.to_dict()
     flat.pop("engine", None)
     return flat
 
@@ -266,11 +267,6 @@ class ResultCache:
     ) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.persist = cache_enabled() if persist is None else persist
-        #: Where sweeps through this cache keep their trace arenas: next to
-        #: its cells, so ``repro cache`` stats, prune and clear see them. A
-        #: cache that writes nothing leaves its directory untouched, and
-        #: None keeps the arenas under ``REPRO_CACHE_DIR``.
-        self.trace_dir = self.directory / TRACE_SUBDIR if self.persist else None
         self._memory: Dict[str, Tuple[SimResult, Dict]] = {}
         self.hits = 0
         self.misses = 0
@@ -279,7 +275,23 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    def arena(self) -> WorkloadArena:
+        """The workload arena of sweeps through this cache.
+
+        Its ``.npz`` trace arenas sit next to the cells, so ``repro cache``
+        stats, prune and clear see them. A cache that writes nothing gets
+        the process's memory-only arena and leaves every directory
+        untouched.
+        """
+        if self.persist:
+            return get_workload_arena(self.directory / TRACE_SUBDIR)
+        return get_workload_arena(persist=False)
+
     # -- lookup ---------------------------------------------------------
+    def in_memory(self, key: str) -> bool:
+        """Whether ``key`` is in the memory tier: a lookup reading no file."""
+        return key in self._memory
+
     def get(self, key: str) -> Optional[SimResult]:
         """Cached result for ``key`` (memory first, then disk), else None."""
         entry = self.get_entry(key)
@@ -392,13 +404,14 @@ def _execute_cell(
     cell: SweepCell,
     workload=None,
     trace_telemetry: Optional[Dict] = None,
-    trace_dir: Optional[Path] = None,
+    arena: Optional[WorkloadArena] = None,
 ) -> Tuple[SimResult, Dict]:
     """Run one cell and return (result, telemetry). Pure w.r.t. the cell:
     identical cells produce identical results in any process.
 
-    With no prebuilt ``workload``, fetches through the content-keyed arena
-    (memo -> ``.npz`` -> generate). ``wall_seconds`` covers only the
+    With no prebuilt ``workload``, fetches through the content-keyed
+    ``arena`` (memo -> ``.npz`` -> generate; default: the arena under
+    ``REPRO_CACHE_DIR``). ``wall_seconds`` covers only the
     simulation; workload materialization is reported separately as
     ``trace_build_seconds`` / ``trace_source``.
 
@@ -410,7 +423,8 @@ def _execute_cell(
     from repro.sim.system import System
 
     if workload is None:
-        arena = get_workload_arena(trace_dir)
+        if arena is None:
+            arena = get_workload_arena()
         workload, trace_telemetry = arena.fetch(cell.workload_params())
     trace_telemetry = trace_telemetry or {
         "trace_source": "caller",

@@ -265,22 +265,34 @@ def _generate(params: WorkloadParams) -> Workload:
     )
 
 
-_shared_arenas: Dict[Tuple[str, bool], WorkloadArena] = {}
+_shared_arenas: Dict[Optional[Tuple[str, bool]], WorkloadArena] = {}
 
 
-def get_workload_arena(directory: Optional[Path] = None) -> WorkloadArena:
+def get_workload_arena(
+    directory: Optional[Path] = None, persist: bool = True
+) -> WorkloadArena:
     """The process-wide shared arena for a trace directory.
 
     One instance per (directory, persist) pair — mirroring
     ``parallel.get_result_cache`` — so tests that repoint
     ``REPRO_CACHE_DIR`` get a fresh memo tier, and pool workers handed an
     explicit directory are immune to stale forked environments.
+
+    ``persist=False`` gives the process's memory-only arena, which reads
+    and writes no ``.npz`` file whatever ``REPRO_TRACE_CACHE`` says: the
+    arena of a result cache that writes nothing.
     """
-    resolved = Path(directory) if directory is not None else default_trace_dir()
-    key = (str(resolved), trace_cache_enabled())
+    key = None
+    if persist:
+        directory = Path(directory) if directory is not None else default_trace_dir()
+        key = (str(directory), trace_cache_enabled())
     with _arena_lock:
         if key not in _shared_arenas:
-            _shared_arenas[key] = WorkloadArena(directory=resolved)
+            _shared_arenas[key] = (
+                WorkloadArena(directory=directory)
+                if persist
+                else WorkloadArena(persist=False)
+            )
         return _shared_arenas[key]
 
 

@@ -1,12 +1,16 @@
 """Tests for ``repro serve``: concurrency, streaming, backpressure, drain."""
 
+import asyncio
+import builtins
 import http.client
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict
 
 import pytest
@@ -20,10 +24,20 @@ from repro.serve import (
     report_from_dict,
     server as server_module,
 )
-from repro.serve.protocol import encode
+from repro.serve.protocol import (
+    cell_result_from_dict,
+    cell_result_to_dict,
+    decode,
+    dumps,
+    encode,
+    encode_with,
+    report_text,
+    report_to_dict,
+)
 from repro.sim import parallel
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import ResultCache, make_cells, run_sweep
+from repro.sim.system import System
 from repro.workloads.arena import owned_segment_names, segment_pool_stats
 
 CONFIG = SystemConfig(capacity_scale=4096)
@@ -126,6 +140,96 @@ class TestProtocolBasics:
                     client.submit([])
 
 
+def raw_job(client, message):
+    """Send one job message; return every line up to its terminal event,
+    exactly as the server wrote them."""
+    client.send(message)
+    lines = []
+    while True:
+        line = client._fh.readline()
+        assert line, "server closed the connection mid-job"
+        lines.append(line)
+        if decode(line)["event"] in ("done", "error"):
+            return lines
+
+
+def wait_for_stats(client, predicate, timeout=60.0):
+    """Poll ``stats`` until ``predicate`` holds (jobs finish off-connection)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        stats = client.stats()
+        if predicate(stats) or time.monotonic() > deadline:
+            return stats
+        time.sleep(0.02)
+
+
+class TestEncodeOnce:
+    """``done`` splices in the cell texts the ``cell`` events carried."""
+
+    @pytest.mark.parametrize("key", ["a", "data", "id", "job_id", "zzz"])
+    def test_encode_with_equals_encode(self, key):
+        value = {"cells": [1.5, "x"], "nested": {"b": 2, "a": None}}
+        for message in ({}, {"event": "cell", "id": [7], "job_id": "j-1"}):
+            assert encode_with(message, key, dumps(value)) == encode(
+                {**message, key: value}
+            )
+
+    def test_report_text_equals_dumps_of_report(self):
+        report = run_sweep(
+            grid(("sphinx_r", "gcc_r")),
+            cache=ResultCache(persist=False),
+            use_cache=False,
+        )
+        texts = [dumps(cell_result_to_dict(c)) for c in report.cells]
+        assert report_text(report, texts) == dumps(report_to_dict(report))
+
+    def test_served_lines_are_byte_identical_to_encode(self, tmp_path):
+        """Each ``cell`` and ``done`` line, for a simulated job and for the
+        same job answered inline from the cache, is ``encode`` of the
+        message the server built before encode-once: ``done`` holds
+        ``report_to_dict`` of the report, every streamed cell in it."""
+        cells = grid(("sphinx_r", "gcc_r"), seed=71)
+        message = {
+            "op": "submit",
+            "id": 7,
+            "cells": [manager.cell_to_dict(c) for c in cells],
+        }
+        with ServerThread(serve_config(tmp_path, workers=1)) as server:
+            with ServeClient(port=server.port) as client:
+                jobs = [raw_job(client, message) for _ in range(2)]
+                stats = client.stats()
+        assert stats["jobs_inline"] == 1
+        for lines in jobs:
+            messages = [decode(line) for line in lines]
+            kinds = [m["event"] for m in messages]
+            assert kinds == ["ack"] + ["cell"] * len(cells) + ["done"]
+            for line, sent in zip(lines, messages):
+                assert line == encode(sent)
+            job_id = messages[0]["job_id"]
+            for sent in messages[1:-1]:
+                assert sent == {
+                    "event": "cell",
+                    "id": 7,
+                    "job_id": job_id,
+                    "data": cell_result_to_dict(
+                        cell_result_from_dict(sent["data"])
+                    ),
+                }
+            done = messages[-1]
+            report = report_from_dict(done["report"])
+            assert lines[-1] == encode(
+                {
+                    "event": "done",
+                    "id": 7,
+                    "job_id": job_id,
+                    "report": report_to_dict(report),
+                }
+            )
+            assert sorted(map(dumps, done["report"]["cells"])) == sorted(
+                dumps(sent["data"]) for sent in messages[1:-1]
+            )
+
+
 class TestSubmit:
     def test_streams_every_cell_then_done_bit_identical(self, tmp_path):
         cells = grid(("sphinx_r",))
@@ -198,6 +302,196 @@ class TestSubmit:
                 report = report_from_dict(client.submit(cells, name=name))
         assert report.cache_hits == len(cells) == 6
         assert calls == {"cell_key": len(cells), "job_id_for": 1}
+
+
+@pytest.fixture
+def submit_threads(monkeypatch):
+    """Names of the threads ``submit_job`` ran on, in call order."""
+    names = []
+    real = server_module.submit_job
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "submit_job", recording)
+    return names
+
+
+#: The thread ``ServerThread`` runs the event loop on.
+LOOP_THREAD = "repro-serve"
+
+
+class TestInlineJobs:
+    def test_cached_ephemeral_job_runs_on_the_event_loop(
+        self, tmp_path, monkeypatch, submit_threads
+    ):
+        """A fully cached ephemeral job makes no ``asyncio.to_thread``
+        call, and its ``submit_job`` runs no simulation and touches no
+        file. (File access is checked only inside that call: in debug mode
+        the loop itself reads source files for task tracebacks.)"""
+        cells = grid(("sphinx_r", "gcc_r"), seed=73)
+        touched = []
+        in_job = threading.Event()
+
+        def forbidden(name, real=None):
+            def guard(*args, **kwargs):
+                if real is not None and not in_job.is_set():
+                    return real(*args, **kwargs)
+                touched.append(name)
+                raise AssertionError(f"an inline job called {name}")
+
+            return guard
+
+        def flagged(submit):
+            def run(*args, **kwargs):
+                in_job.set()
+                try:
+                    return submit(*args, **kwargs)
+                finally:
+                    in_job.clear()
+
+            return run
+
+        with ServerThread(serve_config(tmp_path, workers=1)) as server:
+            with ServeClient(port=server.port) as client:
+                client.submit(cells)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        server_module,
+                        "submit_job",
+                        flagged(server_module.submit_job),
+                    )
+                    patch.setattr(asyncio, "to_thread", forbidden("to_thread"))
+                    patch.setattr(System, "run", forbidden("System.run"))
+                    patch.setattr(
+                        parallel, "_execute_cell", forbidden("_execute_cell")
+                    )
+                    for module, name in (
+                        (builtins, "open"),
+                        (io, "open"),
+                        (os, "open"),
+                        (os, "stat"),
+                    ):
+                        patch.setattr(
+                            module,
+                            name,
+                            forbidden(
+                                f"{module.__name__}.{name}",
+                                getattr(module, name),
+                            ),
+                        )
+                    report = report_from_dict(client.submit(cells))
+                stats = client.stats()
+        assert touched == []
+        assert report.cache_hits == len(cells) == 4
+        assert submit_threads[0] != LOOP_THREAD
+        assert submit_threads[1] == LOOP_THREAD
+        assert stats["jobs_inline"] == 1
+        assert stats["jobs_completed"] == 2
+
+    @pytest.mark.parametrize("kind", ["named", "no-cache", "one-uncached"])
+    def test_other_jobs_run_on_a_worker_thread(
+        self, tmp_path, submit_threads, kind
+    ):
+        """Only a job served from the memory tier alone stays on the loop:
+        a named job (journal and run lock), a job that skips the cache and
+        a job with one uncached cell each take a worker thread."""
+        cells = grid(("sphinx_r",), seed=79)
+        with ServerThread(serve_config(tmp_path, workers=1)) as server:
+            with ServeClient(port=server.port) as client:
+                client.submit(cells)
+                if kind == "named":
+                    client.submit(cells, name="nightly")
+                elif kind == "no-cache":
+                    client.submit(cells, use_cache=False)
+                else:
+                    client.submit(cells + grid(("gcc_r",), seed=79)[:1])
+                stats = client.stats()
+        assert LOOP_THREAD not in submit_threads
+        assert len(submit_threads) == 2
+        assert stats["jobs_inline"] == 0
+        assert stats["jobs_completed"] == 2
+
+
+class TestClientDisconnect:
+    """A client that goes away mid-stream leaves the server serving."""
+
+    @staticmethod
+    def problems(caplog):
+        return [
+            f"{r.name}: {r.getMessage()}"
+            for r in caplog.records
+            if r.levelno >= logging.WARNING
+        ]
+
+    def test_close_after_ack_of_uncached_job(self, tmp_path, caplog):
+        cells = grid(("sphinx_r", "gcc_r"), seed=83)
+        payload = [manager.cell_to_dict(c) for c in cells]
+        with caplog.at_level(logging.WARNING):
+            with ServerThread(serve_config(tmp_path, workers=1)) as server:
+                gone = ServeClient(port=server.port)
+                gone.send({"op": "submit", "cells": payload})
+                assert gone.recv()["event"] == "ack"
+                gone.close()
+                with ServeClient(port=server.port) as client:
+                    assert client.ping()["event"] == "pong"
+                    report = report_from_dict(client.submit(cells))
+                    stats = client.stats()
+        assert report.cache_hits == len(cells) == 4
+        assert stats["cells_executed"] == 4
+        assert stats["jobs_completed"] == 2
+        assert self.problems(caplog) == []
+
+    def test_close_right_after_submitting_cached_job(self, tmp_path, caplog):
+        """The inline job streams 16 cells to a closed socket: after the
+        first failed write the connection gets no more writes, so asyncio
+        logs no "socket.send() raised exception." per lost write."""
+        cells = [
+            cell
+            for seed in (83, 84)
+            for cell in grid(
+                ("sphinx_r", "gcc_r", "mcf_r", "lbm_r"), reads=100, seed=seed
+            )
+        ]
+        payload = [manager.cell_to_dict(c) for c in cells]
+        with caplog.at_level(logging.WARNING):
+            with ServerThread(serve_config(tmp_path, workers=1)) as server:
+                with ServeClient(port=server.port) as client:
+                    client.submit(cells)
+                gone = ServeClient(port=server.port)
+                gone.send({"op": "submit", "cells": payload})
+                gone.close()
+                with ServeClient(port=server.port) as client:
+                    assert client.ping()["event"] == "pong"
+                    stats = wait_for_stats(
+                        client, lambda s: s["jobs_completed"] == 2
+                    )
+        assert stats["jobs_inline"] == 1
+        assert stats["jobs_completed"] == 2
+        assert stats["cells_executed"] == len(cells) == 16
+        assert self.problems(caplog) == []
+
+
+class TestNoCacheServe:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_cache_server_keeps_traces_in_memory(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """``use_cache=False`` writes no ``.npz`` trace arena: not in the
+        working directory, not under ``REPRO_CACHE_DIR``, not in
+        ``cache_dir``."""
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        cells = grid(("sphinx_r", "gcc_r"), seed=89 + workers)
+        config = serve_config(tmp_path, workers=workers, use_cache=False)
+        with ServerThread(config) as server:
+            with ServeClient(port=server.port) as client:
+                report = report_from_dict(client.submit(cells))
+        assert report.cache_misses == len(cells)
+        assert report.workloads_built == 2
+        assert sorted(tmp_path.rglob("*.npz")) == []
 
 
 class TestConcurrentClients:
@@ -453,6 +747,7 @@ class TestMetricsEndpoint:
         }
         assert metrics["repro_serve_cells_served"] == 2.0
         assert metrics["repro_serve_jobs_completed"] == 1.0
+        assert metrics["repro_serve_jobs_inline"] == 0.0
         assert "repro_serve_cache_hit_rate" in metrics
         assert "repro_serve_events_per_sec" in metrics
         assert "repro_serve_segments_idle" in metrics

@@ -7,7 +7,8 @@ import pickle
 
 import pytest
 
-from repro.jobs.manager import cell_to_dict
+from repro.dram.timings import STACKED_DRAM, DramTimings
+from repro.jobs.manager import Job, cell_to_dict, job_id_for
 from repro.sim import parallel
 from repro.sim.config import SystemConfig
 from repro.sim.parallel import (
@@ -163,6 +164,30 @@ class TestPersistentCache:
         assert not (tmp_path / "off").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_cache_sweep_keeps_traces_in_memory(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """A cache that writes nothing leaves no ``.npz`` trace arena
+        anywhere: not in the working directory, not under
+        ``REPRO_CACHE_DIR``, not in the cache's own directory."""
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        cells = make_cells(
+            DESIGNS, BENCHMARKS, config=tiny_config(), reads_per_core=200,
+            seed=61 + workers,
+        )
+        report = run_sweep(
+            cells,
+            max_workers=workers,
+            cache=ResultCache(tmp_path / "given", persist=False),
+            use_cache=False,
+        )
+        assert report.cache_misses == len(cells)
+        assert report.workloads_built == len(BENCHMARKS)
+        assert sorted(tmp_path.rglob("*.npz")) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_trace_arenas_live_under_the_given_cache_dir(
         self, tmp_path, monkeypatch, workers
     ):
@@ -275,6 +300,72 @@ class TestCellKeyMemo:
             hash(cell),
         ) == before
         assert cell == twin and hash(cell) == hash(twin)
+
+
+#: Configs whose flattening must equal ``asdict``: the defaults, the
+#: suite's small scale, MLP cores, closed pages and custom timings.
+FLATTENED_CONFIGS = {
+    "default": SystemConfig(),
+    "scale-4096": tiny_config(),
+    "mshrs-4": SystemConfig(mshrs_per_core=4),
+    "closed-pages": SystemConfig(
+        offchip_page_policy="closed", stacked_page_policy="closed"
+    ),
+    "custom-timings": SystemConfig(
+        offchip=DramTimings(
+            name="custom-offchip",
+            t_act=40,
+            t_cas=30,
+            t_rp=12,
+            line_burst=16,
+            bus_bytes=8,
+            channels=1,
+            banks_per_channel=16,
+            row_bytes=4096,
+        ),
+        stacked=STACKED_DRAM.scaled(t_cas=20, t_rp=4),
+    ),
+}
+
+
+class TestConfigFlattening:
+    """``SystemConfig.to_dict`` stands in for ``dataclasses.asdict``
+    without moving a key, a job id or a manifest byte."""
+
+    @pytest.mark.parametrize(
+        "config", FLATTENED_CONFIGS.values(), ids=FLATTENED_CONFIGS.keys()
+    )
+    def test_to_dict_equals_asdict(self, config):
+        flat = config.to_dict()
+        reference = dataclasses.asdict(config)
+        assert flat == reference
+        assert json.dumps(flat) == json.dumps(reference)  # same key order
+        assert SystemConfig.from_dict(flat) == config
+        assert type(flat["offchip"]) is dict and type(flat["stacked"]) is dict
+
+    def test_keys_ids_and_manifests_match_an_asdict_reference(
+        self, monkeypatch
+    ):
+        cells = [
+            SweepCell(design, "mcf_r", config=config, reads_per_core=300)
+            for config in FLATTENED_CONFIGS.values()
+            for design in ("alloy-map-i", "sram-tag")
+        ]
+
+        def surfaces():
+            # Fresh instances: a cell keeps its key once hashed.
+            fresh = [dataclasses.replace(cell) for cell in cells]
+            return (
+                [TestCellKeyMemo.fields_key(cell) for cell in fresh],
+                [job_id_for(name, fresh) for name in ("", "nightly")],
+                Job("nightly", fresh).job_id,
+                [json.dumps(cell_to_dict(cell), sort_keys=True) for cell in fresh],
+            )
+
+        walked = surfaces()
+        monkeypatch.setattr(SystemConfig, "to_dict", dataclasses.asdict)
+        assert surfaces() == walked
+        assert len(set(walked[0])) == len(cells)
 
 
 class TestResultSchema:
