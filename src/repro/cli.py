@@ -1025,7 +1025,7 @@ def _breakdown_main(argv: List[str]) -> int:
         return 0
 
     from repro.dramcache.factory import DESIGN_NAMES
-    from repro.sim.parallel import make_cells, run_sweep
+    from repro.sim.parallel import ResultCache, make_cells, run_sweep
     from repro.workloads.spec import resolve_workload
 
     designs = [
@@ -1055,7 +1055,11 @@ def _breakdown_main(argv: List[str]) -> int:
         warmup_fraction=args.warmup,
         seed=args.seed,
     )
-    report = run_sweep(cells, use_cache=not args.no_cache)
+    report = run_sweep(
+        cells,
+        cache=ResultCache(persist=False) if args.no_cache else None,
+        use_cache=not args.no_cache,
+    )
 
     print("full-system lifecycle breakdown (mean cycles per demand read)")
     print(f"stages: {legend}")
@@ -1372,6 +1376,7 @@ def _explore_main(argv: List[str]) -> int:
 
     from repro.dramcache.factory import DESIGN_NAMES
     from repro.explore import ExploreSpace, explore
+    from repro.sim.parallel import ResultCache
     from repro.workloads.spec import resolve_workload
 
     args = build_explore_parser().parse_args(argv)
@@ -1425,6 +1430,7 @@ def _explore_main(argv: List[str]) -> int:
         seed=args.seed,
         warmup_fraction=args.warmup,
         max_workers=args.max_workers,
+        cache=ResultCache(persist=False) if args.no_cache else None,
         use_cache=not args.no_cache,
         log=print,
     )

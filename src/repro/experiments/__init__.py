@@ -2,8 +2,7 @@
 
 Each experiment module exposes ``run(quick=False) -> ExperimentResult``.
 The registry maps paper artifact ids (``fig4``, ``table1``, ...) to these
-runners; the CLI (``python -m repro``) and the benchmark suite both go
-through it.
+runners; the CLI (``python -m repro``) and the scorecard go through it.
 """
 
 from repro.experiments.report import ExperimentResult, render_table

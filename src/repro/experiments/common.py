@@ -1,8 +1,8 @@
 """Shared sweep machinery for the experiment modules.
 
-``quick`` mode shortens traces so a full experiment run (or the benchmark
-suite) stays fast; full mode uses the calibration-length traces behind the
-numbers recorded in EXPERIMENTS.md.
+``quick`` mode shortens traces so a full experiment run (or the quick
+scorecard) stays fast; full mode uses the calibration-length traces behind
+the committed record, ``experiments_full.txt``, and EXPERIMENTS.md.
 
 Every experiment's (design x benchmark) grid goes through the parallel
 sweep executor in :mod:`repro.sim.parallel`: set ``REPRO_JOBS=N`` (or pass

@@ -80,15 +80,12 @@ from repro.workloads.arena import (
 CACHE_SCHEMA = 2
 
 
-def result_signature() -> Tuple[str, ...]:
-    """The sorted :class:`SimResult` field names.
-
-    Part of every cache key, so any change to the result shape — new
-    breakdown fields, renames — automatically invalidates stale
-    ``.repro_cache/`` entries instead of deserializing into wrong-shaped
-    results via ``from_dict``'s lenient unknown/missing-key handling.
-    """
-    return tuple(sorted(f.name for f in fields(SimResult)))
+#: The sorted :class:`SimResult` field names. Part of every cache key, so
+#: any change to the result shape — new breakdown fields, renames —
+#: automatically invalidates stale ``.repro_cache/`` entries instead of
+#: deserializing into wrong-shaped results via ``from_dict``'s lenient
+#: unknown/missing-key handling.
+RESULT_SIGNATURE: Tuple[str, ...] = tuple(sorted(f.name for f in fields(SimResult)))
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -229,14 +226,14 @@ def cell_key(
     baselines when sweeping ``mshrs_per_core``), ``warmup_fraction`` (the old
     in-memory baseline cache omitted it — see ISSUE 1), the package version
     so model changes invalidate old entries, and the sorted ``SimResult``
-    field names (:func:`result_signature`) so result-shape changes do too.
+    field names (:data:`RESULT_SIGNATURE`) so result-shape changes do too.
     """
     from repro import __version__
 
     payload = {
         "schema": CACHE_SCHEMA,
         "version": __version__,
-        "result_fields": list(result_signature()),
+        "result_fields": list(RESULT_SIGNATURE),
         "design": design.lower(),
         "benchmark": benchmark,
         "seed": seed,
@@ -268,8 +265,6 @@ class ResultCache:
         self.directory = Path(directory) if directory else default_cache_dir()
         self.persist = cache_enabled() if persist is None else persist
         self._memory: Dict[str, Tuple[SimResult, Dict]] = {}
-        self.hits = 0
-        self.misses = 0
 
     # -- paths ----------------------------------------------------------
     def _path(self, key: str) -> Path:
@@ -300,7 +295,6 @@ class ResultCache:
     def get_entry(self, key: str) -> Optional[Tuple[SimResult, Dict]]:
         """(result, telemetry-of-original-run) for ``key``, else None."""
         if key in self._memory:
-            self.hits += 1
             return self._memory[key]
         if self.persist:
             path = self._path(key)
@@ -311,13 +305,10 @@ class ResultCache:
                 except (OSError, ValueError, KeyError, TypeError):
                     # Torn/stale file — or one a concurrent pruner deleted
                     # between exists() and read — is a miss; recompute.
-                    self.misses += 1
                     return None
                 telemetry = data.get("telemetry", {})
                 self._memory[key] = (result, telemetry)
-                self.hits += 1
                 return result, telemetry
-        self.misses += 1
         return None
 
     # -- store ----------------------------------------------------------
@@ -350,8 +341,6 @@ class ResultCache:
     def clear(self, disk: bool = True) -> None:
         """Drop the memory tier and (optionally) every on-disk entry."""
         self._memory.clear()
-        self.hits = 0
-        self.misses = 0
         if disk and self.directory.is_dir():
             for path in self.directory.glob("*.json"):
                 try:

@@ -48,6 +48,7 @@ import json
 import os
 import threading
 import time
+import zipfile
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -353,9 +354,10 @@ def load_arena(path: Path, params: WorkloadParams) -> Optional[Workload]:
                     )
                 )
         return Workload(name=meta["name"], cores=cores)
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         # Torn/corrupt file: treat as a miss and rebuild (the next save
-        # atomically replaces it).
+        # atomically replaces it). np.load raises EOFError on an empty
+        # file and BadZipFile on a truncated one.
         return None
 
 

@@ -69,6 +69,39 @@ class TestExamples:
         assert "96 bytes/core" in out
 
 
+class TestNoCacheWritesNoArena:
+    """``--no-cache`` keeps traces in memory: run from an empty working
+    directory with ``REPRO_CACHE_DIR`` unset, a verb leaves no ``.npz``
+    trace arena anywhere under it. The seeds are unusual so no earlier
+    test's in-process memo already holds the workload."""
+
+    @pytest.fixture
+    def cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        return tmp_path
+
+    def test_breakdown(self, cwd, capsys):
+        assert main([
+            "breakdown", "--designs", "alloy", "--benchmarks", "mcf",
+            "--reads", "300", "--seed", "9301", "--no-cache",
+        ]) == 0
+        assert "mcf_r" in capsys.readouterr().out
+        assert sorted(cwd.rglob("*.npz")) == []
+
+    def test_explore(self, cwd, capsys):
+        assert main([
+            "explore", "--strategy", "grid", "--name", "nocache",
+            "--designs", "alloy", "--benchmarks", "sphinx",
+            "--page-policies", "open", "--line-bursts", "4",
+            "--cache-mbs", "128", "--timings", "paper",
+            "--capacity-scales", "4096", "--reads", "200",
+            "--seed", "9302", "--no-cache",
+        ]) == 0
+        capsys.readouterr()
+        assert sorted(cwd.rglob("*.npz")) == []
+
+
 class TestSweepTraceAndMixes:
     def _write_k6(self, tmp_path):
         path = tmp_path / "k6_cli.trc"

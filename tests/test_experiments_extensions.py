@@ -21,6 +21,7 @@ class TestPslSweep:
     def test_latency_grows_with_psl(self, result):
         latencies = result.column("hit_latency")
         assert latencies == sorted(latencies)
+        assert latencies[0] < latencies[-1]
 
     def test_performance_shrinks_with_psl(self, result):
         improvements = result.column("improvement_pct")

@@ -1,7 +1,8 @@
 """Tests for the experiment registry and the analytic experiments.
 
 Simulation-backed experiments are exercised end-to-end by the integration
-suite and the benchmarks; here we verify the registry plumbing and run the
+suite, and their paper-shape claims are scorecard criteria
+(``repro scorecard``); here we verify the registry plumbing and run the
 cheap analytic experiments completely.
 """
 
@@ -47,8 +48,8 @@ class TestAnalyticExperiments:
 
     def test_table4(self):
         result = run_experiment("table4")
-        alloy = result.row_by_key("alloy-cache")
-        assert alloy[3] == pytest.approx(6.4)
+        assert result.row_by_key("alloy-cache")[3] == 6.4
+        assert result.row_by_key("lh-cache")[3] < 2.0
 
     def test_quick_flag_accepted(self):
         assert run_experiment("fig1", quick=True).rows

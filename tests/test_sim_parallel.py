@@ -408,7 +408,7 @@ class TestResultSchema:
         config = tiny_config()
         reference = cell_key("alloy-map-i", "mcf_r", config, 300, 0.25, 1)
         monkeypatch.setattr(
-            parallel, "result_signature", lambda: ("some_other_shape",)
+            parallel, "RESULT_SIGNATURE", ("some_other_shape",)
         )
         assert cell_key("alloy-map-i", "mcf_r", config, 300, 0.25, 1) != (
             reference

@@ -149,6 +149,25 @@ class TestArenaTiers:
         assert telemetry["trace_source"] == "built"
         assert_workloads_identical(rebuilt, built)
 
+    @pytest.mark.parametrize(
+        "keep", [lambda n: 0, lambda n: 10, lambda n: n // 2, lambda n: n - 10],
+        ids=["empty", "10-bytes", "half", "all-but-10"],
+    )
+    def test_truncated_arena_is_rebuilt(self, tmp_path, keep):
+        """A torn .npz (np.load raises BadZipFile or EOFError) is a miss;
+        the rebuild's save replaces it with a loadable arena."""
+        arena = WorkloadArena(directory=tmp_path)
+        built, _ = arena.fetch(PARAMS)
+        path = arena._path(PARAMS.key())
+        data = path.read_bytes()
+        path.write_bytes(data[: keep(len(data))])
+        rebuilt, telemetry = WorkloadArena(directory=tmp_path).fetch(PARAMS)
+        assert telemetry["trace_source"] == "built"
+        assert_workloads_identical(rebuilt, built)
+        reloaded, telemetry = WorkloadArena(directory=tmp_path).fetch(PARAMS)
+        assert telemetry["trace_source"] == "npz"
+        assert_workloads_identical(reloaded, built)
+
     def test_stale_generator_version_rejected(self, tmp_path, monkeypatch):
         workload = generate_workload("gcc_r", reads_per_core=400)
         path = tmp_path / "arena.npz"
