@@ -26,7 +26,7 @@ from repro.cache.replacement import make_policy
 from repro.core.predictors import MapIPredictor
 from repro.dramcache.alloy import AlloyCacheDesign
 from repro.dramcache.lh_cache import LHCacheDesign
-from repro.experiments.common import improvement_pct, reads_for
+from repro.experiments.common import design_geomean, improvement_pct, reads_for, sweep
 from repro.experiments.report import ExperimentResult
 from repro.sim.config import SystemConfig
 from repro.sim.runner import baseline_result, geometric_mean, run_design
@@ -147,24 +147,11 @@ def run_mlp_sweep(quick: bool = False) -> ExperimentResult:
         headers=["mshrs", "lh_cache", "sram_tag", "alloy_map_i"],
     )
     mshr_values = (1, 4) if quick else (1, 2, 4, 8)
-    reads = reads_for(quick)
+    designs = ("lh-cache", "sram-tag", "alloy-map-i")
     for mshrs in mshr_values:
         config = replace(SystemConfig(), mshrs_per_core=mshrs)
-        row = [mshrs]
-        for design in ("lh-cache", "sram-tag", "alloy-map-i"):
-            speedups = []
-            for benchmark in SWEEP_BENCHMARKS:
-                base = baseline_result(benchmark, config, reads)
-                workload = build_workload(
-                    benchmark,
-                    num_cores=config.num_cores,
-                    reads_per_core=reads,
-                    capacity_scale=config.capacity_scale,
-                )
-                res = run_design(design, workload, config)
-                speedups.append(res.speedup_vs(base))
-            row.append(geometric_mean(speedups))
-        result.add_row(*row)
+        results = sweep(designs, SWEEP_BENCHMARKS, quick=quick, config=config)
+        result.add_row(mshrs, *(design_geomean(results, d) for d in designs))
     result.add_note(
         "interpretation: blocking cores (mshrs=1) make hit latency dominate "
         "(the Alloy Cache's regime); idealized MLP hides latency and lets "
@@ -194,29 +181,15 @@ def run_victim_cache(quick: bool = False) -> ExperimentResult:
             "sram_bytes",
         ],
     )
-    config = SystemConfig()
-    for name, entries in (("alloy-map-i", 0), ("alloy-victim16", 16), ("alloy-victim64", 64)):
-        reads = reads_for(quick)
-        speedups = []
-        hits = []
-        lats = []
-        for benchmark in SWEEP_BENCHMARKS:
-            base = baseline_result(benchmark, config, reads)
-            workload = build_workload(
-                benchmark,
-                num_cores=config.num_cores,
-                reads_per_core=reads,
-                capacity_scale=config.capacity_scale,
-            )
-            res = run_design(name, workload, config)
-            speedups.append(res.speedup_vs(base))
-            hits.append(res.read_hit_rate)
-            lats.append(res.avg_hit_latency)
+    variants = (("alloy-map-i", 0), ("alloy-victim16", 16), ("alloy-victim64", 64))
+    results = sweep([name for name, _ in variants], SWEEP_BENCHMARKS, quick=quick)
+    for name, entries in variants:
+        runs = [results[(name, benchmark)][1] for benchmark in SWEEP_BENCHMARKS]
         result.add_row(
             name,
-            improvement_pct(geometric_mean(speedups)),
-            100.0 * sum(hits) / len(hits),
-            sum(lats) / len(lats),
+            improvement_pct(design_geomean(results, name)),
+            100.0 * sum(r.read_hit_rate for r in runs) / len(runs),
+            sum(r.avg_hit_latency for r in runs) / len(runs),
             entries * 72,
         )
     result.add_note(
@@ -240,29 +213,15 @@ def run_page_policy(quick: bool = False) -> ExperimentResult:
         title="Stacked-DRAM page policy ablation (extension)",
         headers=["policy", "improvement_pct", "hit_latency", "row_hit_rate_pct"],
     )
-    reads = reads_for(quick)
     for policy in ("open", "closed"):
         config = replace(SystemConfig(), stacked_page_policy=policy)
-        speedups = []
-        lats = []
-        row_hits = []
-        for benchmark in SWEEP_BENCHMARKS:
-            base = baseline_result(benchmark, config, reads)
-            workload = build_workload(
-                benchmark,
-                num_cores=config.num_cores,
-                reads_per_core=reads,
-                capacity_scale=config.capacity_scale,
-            )
-            res = run_design("alloy-map-i", workload, config)
-            speedups.append(res.speedup_vs(base))
-            lats.append(res.avg_hit_latency)
-            row_hits.append(res.stacked_row_hit_rate)
+        results = sweep(["alloy-map-i"], SWEEP_BENCHMARKS, quick=quick, config=config)
+        runs = [results[("alloy-map-i", benchmark)][1] for benchmark in SWEEP_BENCHMARKS]
         result.add_row(
             policy,
-            improvement_pct(geometric_mean(speedups)),
-            sum(lats) / len(lats),
-            100.0 * sum(row_hits) / len(row_hits),
+            improvement_pct(design_geomean(results, "alloy-map-i")),
+            sum(r.avg_hit_latency for r in runs) / len(runs),
+            100.0 * sum(r.stacked_row_hit_rate for r in runs) / len(runs),
         )
     result.add_note(
         "expected shape: closed-page forfeits the direct-mapped layout's "

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from repro.experiments.common import reads_for
+from repro.experiments.common import reads_for, sweep
 from repro.experiments.report import ExperimentResult
 from repro.sim.config import SystemConfig
-from repro.sim.runner import speedup
 from repro.units import pretty_size
 from repro.workloads.spec import PRIMARY_BENCHMARKS, build_workload
 
@@ -26,8 +25,10 @@ def run(quick: bool = False) -> ExperimentResult:
     )
     config = SystemConfig()
     reads = reads_for(quick)
+    # perfect-l3 has no batch kernel: its cells run on the interpreter.
+    speedups = sweep(["perfect-l3"], PRIMARY_BENCHMARKS, quick=quick, config=config)
     for name, spec in PRIMARY_BENCHMARKS.items():
-        s, _ = speedup("perfect-l3", name, config, reads_per_core=reads)
+        s, _ = speedups[("perfect-l3", name)]
         workload = build_workload(
             name,
             num_cores=config.num_cores,

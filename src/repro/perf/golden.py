@@ -141,7 +141,9 @@ def write_golden(path: Path = DEFAULT_GOLDEN_PATH) -> Dict:
 
 
 def diff_payloads(current, golden, prefix: str = "", limit: int = 40) -> List[str]:
-    """Human-readable field-level differences, depth-first, capped."""
+    """Human-readable field-level differences, depth-first, capped. Leaves
+    differ when their types do, so an int counter that turns into an equal
+    float is a difference."""
     diffs: List[str] = []
     _diff(current, golden, prefix or "$", diffs, limit)
     return diffs
@@ -168,7 +170,8 @@ def _diff(cur, gold, path: str, out: List[str], limit: int) -> None:
             _diff(c, g, f"{path}[{i}]", out, limit)
             if len(out) >= limit:
                 return
-    elif cur != gold:
+    elif type(cur) is not type(gold) or cur != gold:
+        # ``5 == 5.0``, but they render differently in the canonical JSON.
         out.append(f"{path}: {cur!r} != golden {gold!r}")
 
 

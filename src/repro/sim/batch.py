@@ -13,20 +13,32 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   integer-coded heap tuples. Each loop is generated from source templates
   the first time a process meets its configuration, then cached for the
   process (:func:`_kernel`). One skeleton — the core-event prologue with
-  the MLP in-flight lists, the heap dispatch, the sample buffers and the
-  counter flush — takes per-family read, write, fill and background
+  the MLP in-flight lists, the heap dispatch, the read-record buffer and
+  the counter flush — takes per-family read, write, fill and background
   bodies. Every configuration flag (:func:`_flags`) is resolved while
   generating, so a loop has no branch on any of them, and no loop makes a
-  Python-level function call per trace record.
+  Python-level function call per trace record. A core event's successor
+  enters the heap through one ``heappushpop``, and the event count is the
+  push sequence number once the heap drains.
+* **Float-typed timeline arithmetic**: every cycle constant a kernel adds
+  to a time — the DRAM timings and watermarks (:func:`_device_consts`),
+  the bursts, the L3, write-issue, tag, MissMap and predictor latencies —
+  is an integer-valued float, so each add and compare on the timeline has
+  two float operands (CPython specializes those; exact below 2**53).
+  Every tally that reaches a counter stays an ``int``.
 * **One device template**: the DRAM reservation arithmetic exists once, as
   the ``demand`` and ``background`` templates below, written expression for
   expression like :meth:`repro.dram.device.DramDevice.access` and expanded
   inline at every reservation site. ``repro check`` compiles the same
   templates into plain callables (:func:`device_fns`) and diffs them
   against the device on randomized streams.
-* **Deferred statistics**: latency samples are appended to typed
-  ``array('d')`` buffers in event order and folded into the
-  accumulators/histograms once at the end, over zero-copy numpy views.
+* **Deferred statistics**: each demand read writes one record — hit flag,
+  latency and the five stage cycles — with a single
+  ``Struct("7d").pack_into`` into a ``bytearray`` sized from the read
+  count, and the kernel checks it wrote exactly one per read. The
+  records are folded into the accumulators and histograms once at the
+  end, over zero-copy numpy views (:func:`_fold_reads`), which also
+  splits hits from misses and derives the unattributed gap.
   ``np.add.accumulate`` is a strict left fold in sample order, so float
   sums match the interpreter's per-sample ``total += v`` bit-for-bit.
 * **Warmup without design.warm**: every design with tag state warms in a
@@ -39,7 +51,8 @@ loop for throughput while producing **bit-identical** :class:`SimResult`s:
   cursors; a run keeps one :class:`CoreOutcome` per core.
 
 Bit-exactness is defined over the :class:`SimResult` surface (what
-``repro golden`` hashes and the differential fuzzer compares). Device
+``repro golden`` hashes and the differential fuzzer compares), as
+byte-identical canonical JSON: equal values of equal types. Device
 *accumulators* (queue-delay samples etc.) are not observable there — only
 the device counters feed energy/utilization — so the inlined reservations
 skip accumulator sampling; everything observable is reproduced exactly.
@@ -58,6 +71,7 @@ import linecache
 import re
 from functools import partial
 from string import Template
+from struct import Struct
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -73,7 +87,7 @@ from repro.core.predictors import (
 )
 from repro.dramcache.alloy import AlloyCacheDesign
 from repro.dramcache.alloy_victim import AlloyVictimDesign
-from repro.dramcache.base import LATENCY_BUCKETS
+from repro.dramcache.base import ATTRIBUTION_EPSILON, LATENCY_BUCKETS
 from repro.dramcache.ideal_lo import IdealLODesign
 from repro.dramcache.lh_cache import LHCacheDesign
 from repro.dramcache.no_cache import NoCacheDesign
@@ -82,14 +96,12 @@ from repro.lifecycle import STAGES
 from repro.units import LINE_SIZE
 
 # Names only the generated code uses: it runs in this module's globals.
-from array import array  # noqa: F401
-from heapq import heappop, heappush  # noqa: F401
+from heapq import heappop, heappush, heappushpop  # noqa: F401
 from itertools import repeat  # noqa: F401
 from repro.cache.missmap import LINES_PER_SEGMENT  # noqa: F401
 from repro.core.predictors import MAC_MAX, MAC_MSB_THRESHOLD  # noqa: F401
 from repro.dramcache.alloy import _SCENARIO_KEYS  # noqa: F401
 from repro.dramcache.alloy_victim import VICTIM_HIT_CYCLES  # noqa: F401
-from repro.dramcache.base import ATTRIBUTION_EPSILON  # noqa: F401
 from repro.dramcache.lh_cache import TAG_CHECK_CYCLES  # noqa: F401
 
 #: Every factory design the engine has a kernel for (all but the L3-filter
@@ -326,18 +338,24 @@ def _device_consts(dev):
     """Per-access constants of ``dev``, taken from its timings and its
     block-cap/watermark policy methods: ACT, precharge + ACT and CAS
     cycles, a full line's bus bytes, the line burst (also the bus block
-    cap), the bank block cap, the bank watermark and the bus watermark."""
+    cap), the bank block cap, the bank watermark and the bus watermark.
+
+    Every cycle figure is an integer-valued float: the timeline arithmetic
+    then adds and compares floats only (exact for integers below 2**53),
+    which CPython runs faster than mixed int/float operations. The byte
+    count stays an int; it only feeds a counter.
+    """
     timings = dev.timings
     line_burst = timings.line_burst
     return (
-        timings.t_act,
-        timings.t_rp + timings.t_act,
-        timings.t_cas,
+        float(timings.t_act),
+        float(timings.t_rp + timings.t_act),
+        float(timings.t_cas),
         int(line_burst * LINE_SIZE / line_burst),
-        line_burst,
-        dev._block_cap(),
-        dev._watermark(),
-        dev._bus_watermark(),
+        float(line_burst),
+        float(dev._block_cap()),
+        float(dev._watermark()),
+        float(dev._bus_watermark()),
     )
 
 
@@ -391,38 +409,51 @@ def _add_hist(hist, values):
             counts[i] += n
 
 
-def _writeback_reads(design, readlat, hitlat, misslat, stage_samples, unat):
-    """Flush the deferred demand-read statistics into the design's stat
-    groups, reproducing the interpreter's lazy-creation key sets (nothing
-    is created when no demand read occurred).
+#: One demand read's sample record: the hit flag (1.0 or 0.0), the latency
+#: and the cycles of each lifecycle stage, in :data:`STAGES` order.
+_RECORD = Struct("7d")
 
-    Every sample buffer is a kernel's ``array('d')`` (or a numpy column of
-    a constant stage, e.g. ``np.zeros``); each is folded through one
-    zero-copy float64 view (:func:`_fold_acc`, :func:`_add_hist`).
+
+def _fold_reads(design, buf):
+    """Flush a kernel's demand-read records (``buf``, one :data:`_RECORD`
+    per read in event order) into the design's stat groups, reproducing the
+    interpreter's lazy-creation key sets (nothing is created when no demand
+    read occurred).
+
+    Each column is folded through a zero-copy float64 view
+    (:func:`_fold_acc`, :func:`_add_hist`). The hit flag splits hits from
+    misses, and the unattributed gap is derived here as the interpreter's
+    ``abs(latency - sum(stages.values()))``: every read path sums its
+    nonzero stages in ``STAGES`` order, and adding a 0.0 stage changes no
+    sum.
     """
-    if not len(readlat):
+    if not buf:
         return
+    rec = np.frombuffer(buf, dtype=np.float64).reshape(-1, 7)
+    hit = rec[:, 0] != 0.0
+    lat = rec[:, 1]
     stats = design.stats
-    reads = np.frombuffer(readlat, dtype=np.float64)
-    if len(hitlat):
-        hits = np.frombuffer(hitlat, dtype=np.float64)
+    hits = lat[hit]
+    if len(hits):
         stats.counter("read_hits").value += len(hits)
         _fold_acc(stats.accumulator("hit_latency"), hits)
         _add_hist(design.hit_latency_hist, hits)
-    if len(misslat):
-        misses = np.frombuffer(misslat, dtype=np.float64)
+    misses = lat[~hit]
+    if len(misses):
         stats.counter("read_misses").value += len(misses)
         _fold_acc(stats.accumulator("miss_latency"), misses)
-    _fold_acc(stats.accumulator("read_latency"), reads)
-    _add_hist(design.read_latency_hist, reads)
+    _fold_acc(stats.accumulator("read_latency"), lat)
+    _add_hist(design.read_latency_hist, lat)
     stage_stats = design.stage_stats
-    for stage, samples in zip(STAGES, stage_samples):
-        values = np.frombuffer(samples, dtype=np.float64)
+    for column, stage in enumerate(STAGES, 2):
+        values = rec[:, column]
         _fold_acc(stage_stats.accumulator(stage), values)
         _add_hist(stage_stats.histogram(stage, LATENCY_BUCKETS), values)
+    queue, predictor, tag, data, memory = rec[:, 2:].T
+    gap = np.abs(lat - ((((queue + predictor) + tag) + data) + memory))
     _fold_acc(
         stats.accumulator("unattributed_cycles"),
-        np.frombuffer(unat, dtype=np.float64),
+        np.where(gap > ATTRIBUTION_EPSILON, gap, 0.0),
     )
 
 
@@ -594,7 +625,7 @@ def _flush_source(d, dev, sites):
         f"    {_sum(s[1] for s in sites if not s[2])},",
         f"    {_sum(s[1] for s in sites if s[2])},",
         f"    {_sum(s[1] for s in sites if s[3])},",
-        f"    {_sum([f'{d}_bus'] + [f'{s[1]} * {s[5]}' for s in fixed])},",
+        f"    int({_sum([f'{d}_bus'] + [f'{s[1]} * {s[5]}' for s in fixed])}),",
         f"    {_sum([f'{d}_byt'] + [f'{s[1]} * {s[6]}' for s in fixed])})",
     ]
 
@@ -729,8 +760,9 @@ def _flush_warm(group, hits, hit_at, chain):
 # device counters (as site tallies). ``chained`` marks an access that
 # directly follows one to the same bank and row, which the open-page
 # policy makes a static row hit. A closed-page device never keeps a row
-# open, so every one of its accesses activates. Demand ``serv`` is the
-# integer act + CAS + burst service; float arithmetic converts it exactly.
+# open, so every one of its accesses activates. Every cycle figure is an
+# integer-valued float (:func:`_device_consts`), so demand ``serv``, the
+# act + CAS + burst service, is exact.
 _snippet(
     "activate",
     "d bk row chained hits rowhit",
@@ -741,7 +773,7 @@ act = ${d}_tact
 $rowhit = False
 #endif
 #elif $chained
-act = 0
+act = 0.0
 ${d}_rh += 1
 #if "$hits" != "_"
 $hits += 1
@@ -757,7 +789,7 @@ if $rowhit:
 #else
 if open_row == $row:
 #endif
-    act = 0
+    act = 0.0
     ${d}_rh += 1
 #if "$hits" != "_"
     $hits += 1
@@ -792,7 +824,7 @@ service = core + $burst
 free = ${d}_bdf[$bk]
 start = $now if $now >= free else free
 backlog = ${d}_baf[$bk] - start
-if backlog > 0:
+if backlog > 0.0:
     blocked = backlog if backlog <= ${d}_blockcap else ${d}_blockcap
     drain = backlog - ${d}_wmark
     start += blocked + (drain if drain > 0.0 else 0.0)
@@ -803,7 +835,7 @@ ready = start + core
 free = ${d}_udf[$ch]
 bus = ready if ready >= free else free
 backlog = ${d}_uaf[$ch] - bus
-if backlog > 0:
+if backlog > 0.0:
     blocked = backlog if backlog <= ${d}_lb else ${d}_lb
     drain = backlog - ${d}_buswmark
     bus += blocked + (drain if drain > 0.0 else 0.0)
@@ -872,7 +904,7 @@ def $name(dev):
             @demand(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=True, fixed=False, q=q, serv=serv, rowhit=row_hit)
         else:
             @demand(d=d, now=now, burst=burst, bytes=int(burst * LINE_SIZE / d_lb), write=False, fixed=False, q=q, serv=serv, rowhit=row_hit)
-        return done, row_hit, q, float(serv)
+        return done, row_hit, q, serv
 
     def background(now, bk, ch, row, burst, is_write):
         @@nonlocal d
@@ -1225,10 +1257,13 @@ v_hit_at = ()
 # ----------------------------------------------------------------------
 # Per family (``$family``), the skeleton expands ``<family>_setup`` (decode
 # and locals), ``<family>_write`` (a posted writeback), ``<family>_read``
-# (a demand read: sets ``done`` and ``lat``, appends the stage samples and
-# leaves the unattributed gap in ``gap``), ``<family>_events`` (its heap
-# events past the core and off-chip write events) and ``<family>_flush``.
-# The core-event prologue mirrors the interpreter's System._handle_core.
+# (a demand read: sets ``done`` and writes the read's one sample record
+# through ``@record``), ``<family>_events`` (its heap events past the core
+# and off-chip write events) and ``<family>_flush``. The core-event
+# prologue mirrors the interpreter's System._handle_core. A core event's
+# successor goes in through ``heappushpop``, which returns what a push and
+# then a pop would (every entry's ``seq`` is unique); every entry pushed is
+# popped, so ``seq`` is the event count once the heap drains.
 _KERNEL = """
 def $name(system, starts, overflow):
     design = system.design
@@ -1248,9 +1283,8 @@ def $name(system, starts, overflow):
     @device(d=s, dev=stacked)
 #endif
     @${family}_setup()
-    l3 = system._l3_latency
-    wic = system._write_issue_cycles
-    eps = ATTRIBUTION_EPSILON
+    l3 = float(system._l3_latency)
+    wic = float(system._write_issue_cycles)
     num_cores = len(base) - 1
     ends = base[1:]
     cur = base[:-1]
@@ -1260,12 +1294,15 @@ def $name(system, starts, overflow):
     mshrs = system._mshrs
     outst = [[] for _ in range(num_cores)]
 #endif
-    readlat, unat = array("d"), array("d")
-    ra, ua = readlat.append, unat.append
+    rsize = _RECORD.size
+    buf = bytearray(rsize * sum(nr))
+    rec = _RECORD.pack_into
+    off = 0
     n_mr = n_mw = n_wm = 0
     heap = []
     push = heappush
     pop = heappop
+    pushpop = heappushpop
     seq = 0
 #if victim
     for addr in overflow:
@@ -1277,11 +1314,10 @@ def $name(system, starts, overflow):
             gap = G[cur[ci]]
             push(heap, (gap if gap >= 0.0 else 0.0, seq, 0, ci, 0))
             seq += 1
-    events = 0
     now = 0.0
-    while heap:
-        now, _, kind, a, b = pop(heap)
-        events += 1
+    entry = pop(heap) if heap else None
+    while entry:
+        now, _, kind, a, b = entry
         if kind == 0:
             ci = a
 #if mlp
@@ -1292,11 +1328,11 @@ def $name(system, starts, overflow):
             if out:
                 out = outst[ci] = list(filter(now.__lt__, out))
                 if len(out) >= mshrs:
-                    push(heap, (min(out), seq, 0, ci, 0))
+                    entry = pushpop(heap, (min(out), seq, 0, ci, 0))
                     seq += 1
                     continue
             if D[cur[ci]] and last_read[ci] > now:
-                push(heap, (last_read[ci], seq, 0, ci, 0))
+                entry = pushpop(heap, (last_read[ci], seq, 0, ci, 0))
                 seq += 1
                 continue
 #endif
@@ -1307,10 +1343,6 @@ def $name(system, starts, overflow):
             else:
                 arrival = now + l3
                 @${family}_read()
-                ra(lat)
-                if gap < 0.0:
-                    gap = -gap
-                ua(gap if gap > eps else 0.0)
                 completed = done if done >= arrival else arrival
 #if mlp
                 # Compute overlaps the outstanding miss: the next record
@@ -1328,8 +1360,9 @@ def $name(system, starts, overflow):
             cur[ci] = g
             if g < ends[ci]:
                 nxt = anchor + G[g]
-                push(heap, (nxt if nxt >= now else now, seq, 0, ci, 0))
+                entry = pushpop(heap, (nxt if nxt >= now else now, seq, 0, ci, 0))
                 seq += 1
+                continue
         elif kind == 1:
             n_mw += 1
             chunk = a // m_lpr
@@ -1339,6 +1372,12 @@ def $name(system, starts, overflow):
             row = per // m_banks
             @background(d=m, now=now, burst=m_lb, bytes=m_flb)
         @${family}_events()
+        entry = pop(heap) if heap else None
+    if off != len(buf):
+        raise RuntimeError(
+            f"wrote {off // rsize} read records for {len(buf) // rsize} "
+            "demand reads"
+        )
     stats = design.stats
     @@flush m memory
 #if family != "no_cache"
@@ -1348,8 +1387,9 @@ def $name(system, starts, overflow):
     _flush(stats, "memory_reads", n_mr)
     _flush(stats, "memory_writes", n_mw)
     @${family}_flush()
+    _fold_reads(design, buf)
     _finish_cores(system, finish, last_read, nr, nw)
-    system.events_processed += events
+    system.events_processed += seq
     system.now = now
 """
 
@@ -1365,6 +1405,17 @@ row = mr[g]
 """,
 )
 
+# A demand read's sample record: hit flag, latency, then the stages in
+# STAGES order (queue, predictor, tag, data, memory).
+_snippet(
+    "record",
+    "hit lat=done-arrival q=0.0 p=0.0 t=0.0 d=0.0 m=0.0",
+    """
+rec(buf, off, $hit, $lat, $q, $p, $t, $d, $m)
+off += rsize
+""",
+)
+
 # A stacked access to record ``g``'s (or event record ``a``'s) row.
 _snippet(
     "stacked_row",
@@ -1377,15 +1428,7 @@ row = sr[$at]
 )
 
 # ---- no-cache: every read goes off-chip -------------------------------
-_snippet(
-    "no_cache_setup",
-    "",
-    """
-# The predictor/tag/data stages are identically zero.
-stq, stm = array("d"), array("d")
-qa, mma = stq.append, stm.append
-""",
-)
+_snippet("no_cache_setup", "", "")
 
 _snippet(
     "no_cache_write",
@@ -1403,25 +1446,13 @@ _snippet(
     """
 n_mr += 1
 @memory_read(now=arrival, q=q, serv=serv)
-lat = done - arrival
-qa(q)
-mma(serv)
-gap = lat - (q + serv)
+@record(hit=0.0, q=q, m=serv)
 """,
 )
 
 _snippet("no_cache_events", "", "")
 
-_snippet(
-    "no_cache_flush",
-    "",
-    """
-zeros = np.zeros(len(readlat))
-_writeback_reads(
-    design, readlat, (), readlat, (stq, zeros, zeros, zeros, stm), unat
-)
-""",
-)
+_snippet("no_cache_flush", "", "")
 
 # ---- IDEAL-LO: direct-mapped tags, free tag checks --------------------
 _snippet(
@@ -1436,11 +1467,6 @@ tags = store._tags
 dirty = store._dirty
 st_h = st_m = st_f = st_ev = st_dev = 0
 n_wh = n_drh = n_fills = 0
-# The predictor and tag stages are identically zero.
-hitlat, misslat = array("d"), array("d")
-stq, std, stm = array("d"), array("d"), array("d")
-ha, ma = hitlat.append, misslat.append
-qa, da, mma = stq.append, std.append, stm.append
 """,
 )
 
@@ -1471,22 +1497,13 @@ i = SI[g]
 if hit:
     @stacked_row(at=g)
     @demand(d=s, now=arrival, burst=s_lb, bytes=s_flb, q=q, serv=serv, hits=n_drh)
-    lat = done - arrival
-    ha(lat)
-    qa(q)
-    da(serv)
-    mma(0.0)
+    @record(hit=1.0, q=q, d=serv)
 else:
     n_mr += 1
     @memory_read(now=arrival, q=q, serv=serv)
     push(heap, (done if done >= now else now, seq, 2, g, 0))
     seq += 1
-    lat = done - arrival
-    ma(lat)
-    qa(q)
-    da(0.0)
-    mma(serv)
-gap = lat - (q + serv)
+    @record(hit=0.0, q=q, m=serv)
 """,
 )
 
@@ -1521,10 +1538,6 @@ _flush(stats, "row_hits", n_drh)
 _flush(stats, "write_hits", n_wh)
 _flush(stats, "fills", n_fills)
 @store_flush(stats=store.stats)
-zeros = np.zeros(len(readlat))
-_writeback_reads(
-    design, readlat, hitlat, misslat, (stq, zeros, zeros, std, stm), unat
-)
 """,
 )
 
@@ -1550,15 +1563,9 @@ si_np = a_np % tags_cache.num_sets
 SI = si_np.tolist()
 sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
 @sa_setup(cache=tags_cache)
-tsl = design.config.sram_tag_latency
-tslf = float(tsl)
+tsl = float(design.config.sram_tag_latency)
 st_h = st_m = st_f = st_ev = st_dev = 0
 n_wh = n_vr = n_fills = 0
-# The predictor stage is identically zero and the tag stage the TSL.
-hitlat, misslat = array("d"), array("d")
-stq, std, stm = array("d"), array("d"), array("d")
-ha, ma = hitlat.append, misslat.append
-qa, da, mma = stq.append, std.append, stm.append
 """,
 )
 
@@ -1593,19 +1600,11 @@ if way is None:
     @memory_read(now=t_tag, q=q, serv=serv)
     push(heap, (done, seq, 2, g, 0))
     seq += 1
-    lat = done - arrival
-    ma(lat)
-    da(0.0)
-    mma(serv)
+    @record(hit=0.0, q=q, t=tsl, m=serv)
 else:
     @stacked_row(at=g)
     @demand(d=s, now=t_tag, burst=s_lb, bytes=s_flb, q=q, serv=serv)
-    lat = done - arrival
-    ha(lat)
-    da(serv)
-    mma(0.0)
-qa(q)
-gap = lat - (q + tslf + serv)
+    @record(hit=1.0, q=q, t=tsl, d=serv)
 """,
 )
 
@@ -1645,11 +1644,6 @@ _flush(stats, "fills", n_fills)
 #if policy == "dip"
 pol.psel = psel
 #endif
-n = len(readlat)
-_writeback_reads(
-    design, readlat, hitlat, misslat,
-    (stq, np.zeros(n), np.full(n, tslf), std, stm), unat
-)
 """,
 )
 
@@ -1665,23 +1659,17 @@ sb, sc, sr = _row_decode(si_np // design.sets_per_row, stacked)
 @sa_setup(cache=tags_cache)
 missmap = design.missmap
 @mm_setup(missmap=missmap)
-mml = design._missmap_latency
-mmlf = design._missmap_latency_f
-tag_b = design._tag_burst_v
-lb = design._line_burst_v
-ub = design._update_burst_v
+mml = design._missmap_latency_f
+tag_b = float(design._tag_burst_v)
+lb = float(design._line_burst_v)
+ub = float(design._update_burst_v)
 tag_bytes = int(tag_b * LINE_SIZE / s_lb)
 lb_bytes = int(lb * LINE_SIZE / s_lb)
 ub_bytes = int(ub * LINE_SIZE / s_lb)
-tcc = TAG_CHECK_CYCLES
+tcc = float(TAG_CHECK_CYCLES)
 st_h = st_m = st_f = st_ev = st_dev = 0
 n_mmh = n_mmm = 0
 n_wh = n_vr = n_fills = n_reopen = n_upd = 0
-# The predictor stage is identically the MissMap latency.
-hitlat, misslat = array("d"), array("d")
-stq, stt, std, stm = array("d"), array("d"), array("d"), array("d")
-ha, ma = hitlat.append, misslat.append
-qa, ta, da, mma = stq.append, stt.append, std.append, stm.append
 """,
 )
 
@@ -1730,19 +1718,12 @@ if way is None:
     @memory_read(now=t0, q=q, serv=serv)
     push(heap, (done, seq, 2, g, 0))
     seq += 1
-    lat = done - arrival
-    ma(lat)
-    qa(q)
-    ta(0.0)
-    da(0.0)
-    mma(serv)
-    gap = lat - (q + mmlf + serv)
+    @record(hit=0.0, q=q, p=mml, m=serv)
 else:
     # Compound access: tag lines, tag check, then the data line from the
     # row the tag read opened (and the replacement-state update).
     @stacked_row(at=g)
     @demand(d=s, now=t0, burst=tag_b, bytes=tag_bytes, done=done_t, q=q_t, serv=serv_t)
-    t_stage = serv_t + tcc
     t_data = done_t + tcc
     @demand(d=s, now=t_data, burst=lb, bytes=lb_bytes, chained=True, q=q_d, serv=serv)
 #if not s_open_page
@@ -1752,14 +1733,7 @@ else:
     @demand(d=s, now=done, burst=ub, bytes=ub_bytes, write=True, chained=True, done=_)
     n_upd += 1
 #endif
-    lat = done - arrival
-    ha(lat)
-    q = q_t + q_d
-    qa(q)
-    ta(t_stage)
-    da(serv)
-    mma(0.0)
-    gap = lat - (q + mmlf + t_stage + serv)
+    @record(hit=1.0, q=q_t + q_d, p=mml, t=serv_t + tcc, d=serv)
 """,
 )
 
@@ -1813,10 +1787,6 @@ pol.psel = psel
 _flush(missmap.stats, "lookups", n_mmh + n_mmm)
 _flush(missmap.stats, "predicted_hits", n_mmh)
 _flush(missmap.stats, "predicted_misses", n_mmm)
-_writeback_reads(
-    design, readlat, hitlat, misslat,
-    (stq, np.full(len(readlat), mmlf), stt, std, stm), unat
-)
 """,
 )
 
@@ -1829,16 +1799,16 @@ si_np = a_np % design._num_sets
 SI = si_np.tolist()
 sb, sc, sr = _row_decode(si_np // design._sets_per_row, stacked)
 slot_np = si_np % design._sets_per_row
-BU = np.asarray(design._burst_by_slot, dtype=np.int64)[slot_np].tolist()
-tad_bytes = {b: int(b * LINE_SIZE / s_lb) for b in design._burst_by_slot}
+BU = np.asarray(design._burst_by_slot, dtype=np.float64)[slot_np].tolist()
+tad_bytes = {float(b): int(b * LINE_SIZE / s_lb) for b in design._burst_by_slot}
 @predictor_setup()
 #if pred == "map-i"
 IDX = _mact_indices(P, index_bits)
 #endif
 #if pred in ("map-i", "map-g", "sam", "pam")
-plat = design._pred_latency
+plat = float(design._pred_latency)
 #elif pred == "missmap"
-mml = design._missmap_latency
+mml = float(design._missmap_latency)
 #endif
 store = design.cache._store
 #if ways1
@@ -1848,20 +1818,13 @@ dirty = store._dirty
 @sa_setup(cache=store)
 #endif
 #if victim
-vhc = VICTIM_HIT_CYCLES
-vhcf = float(VICTIM_HIT_CYCLES)
+vhc = float(VICTIM_HIT_CYCLES)
 n_vhit = 0
 #endif
 st_h = st_m = st_f = st_ev = st_dev = 0
 pm = pc_ = 0
 s_mm = s_mc = s_cm = s_cc = 0
 n_wh = n_trh = n_wasted = n_fills = 0
-hitlat, misslat = array("d"), array("d")
-stq, stp, stt, std, stm = (
-    array("d"), array("d"), array("d"), array("d"), array("d")
-)
-ha, ma = hitlat.append, misslat.append
-qa, pa, ta, da, mma = stq.append, stp.append, stt.append, std.append, stm.append
 """,
 )
 
@@ -1942,18 +1905,11 @@ if vway is not None:
     n_vhit += 1
     s_cc += 1
     done = arrival + vhc
-    lat = done - arrival
-    ha(lat)
-    qa(0.0)
-    pa(0.0)
-    ta(0.0)
-    da(vhcf)
-    mma(0.0)
+    @record(hit=1.0, d=vhc)
     @train(went=False)
     @swap_back(addr=addr, i=i)
     push(heap, (arrival, seq, 3, g, 0))
     seq += 1
-    gap = lat - vhcf
 else:
     v_m += 1
     @alloy_array_read()
@@ -2010,14 +1966,7 @@ if hit:
     else:
         s_cc += 1
     done = done_t
-    lat = done - arrival
-    ha(lat)
-    qa(q_t)
-    pa(pd)
-    ta(0.0)
-    da(serv_t)
-    mma(0.0)
-    gap = lat - (q_t + pd + serv_t)
+    @record(hit=1.0, q=q_t, p=pd, d=serv_t)
     @train(went=False)
 else:
     n_mr += 1
@@ -2025,35 +1974,17 @@ else:
         # PAM: memory in parallel; its data waits for the tag check.
         s_mm += 1
         @memory_read(now=pready, done=done_m, q=q_m, serv=serv_m)
-        done = done_m if done_m >= done_t else done_t
-        lat = done - arrival
         if done_t > done_m:
-            qa(q_t)
-            pa(pd)
-            ta(serv_t)
-            da(0.0)
-            mma(0.0)
-            gap = lat - (q_t + pd + serv_t)
+            done = done_t
+            @record(hit=0.0, q=q_t, p=pd, t=serv_t)
         else:
-            qa(q_m)
-            pa(pd)
-            ta(0.0)
-            da(0.0)
-            mma(serv_m)
-            gap = lat - (q_m + pd + serv_m)
+            done = done_m
+            @record(hit=0.0, q=q_m, p=pd, m=serv_m)
     else:
         # SAM: memory after the probe rules the access a miss.
         s_cm += 1
         @memory_read(now=done_t, q=q_m, serv=serv_m)
-        lat = done - arrival
-        q = q_t + q_m
-        qa(q)
-        pa(pd)
-        ta(serv_t)
-        da(0.0)
-        mma(serv_m)
-        gap = lat - (q + pd + serv_t + serv_m)
-    ma(lat)
+        @record(hit=0.0, q=q_t + q_m, p=pd, t=serv_t, m=serv_m)
     @train(went=True)
     push(heap, (done, seq, 2, g, 0))
     seq += 1
@@ -2122,9 +2053,6 @@ _flush(vstats, "dirty_evictions", v_dev)
 predictor.predicted_memory += pm
 predictor.predicted_cache += pc_
 #endif
-_writeback_reads(
-    design, readlat, hitlat, misslat, (stq, stp, stt, std, stm), unat
-)
 """,
 )
 

@@ -15,10 +15,11 @@ Two layers, both driven from ``repro check``:
   invariant checks.
 * **System runs** — whole paired :class:`~repro.sim.system.System`
   simulations over randomized small workloads (design, benchmark, core
-  count, and page policies drawn from the seed), asserting field-identical
-  :class:`~repro.sim.results.SimResult` payloads between the interpreter
-  and the batch engine, plus one invariant-enabled run of the same cell
-  proving the invariant layer passes on real workloads.
+  count, and page policies drawn from the seed), asserting that the
+  interpreter's and the batch engine's :class:`~repro.sim.results.SimResult`
+  fields render to byte-identical canonical JSON, plus one
+  invariant-enabled run of the same cell proving the invariant layer
+  passes on real workloads.
 
 Divergences are collected as human-readable strings (capped) rather than
 raised, so one bad seed reports every layer it broke.
@@ -26,7 +27,6 @@ raised, so one bad seed reports every layer it broke.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -34,6 +34,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.dram.device import BACKGROUND_BACKLOG_OPS, DramDevice
 from repro.dram.mapping import RowLocation
 from repro.dram.timings import OFFCHIP_DDR3, STACKED_DRAM, DramTimings
+from repro.perf.golden import canonical_dumps
 from repro.sim import batch
 from repro.verify.invariants import InvariantChecker, InvariantViolation
 
@@ -229,9 +230,11 @@ def fuzz_system_pair(
 
     The cell (design, benchmark, core count, page policies) is drawn from
     the seed so a seed sweep covers the design matrix. The batch run must
-    actually run on the batch engine and be field-identical to the
-    interpreter's. With ``check_invariants`` the cell is run once more with
-    the invariant layer installed — violations surface as divergences.
+    actually run on the batch engine, and each of its fields must render
+    to the same canonical JSON as the interpreter's: ``5`` and ``5.0``
+    differ there, as they do in a cached result file. With
+    ``check_invariants`` the cell is run once more with the invariant
+    layer installed — violations surface as divergences.
     """
     from dataclasses import replace
 
@@ -265,18 +268,16 @@ def fuzz_system_pair(
     )
     divergences: List[str] = []
 
-    want = dataclasses.asdict(
-        System(replace(config, engine="interp"), design, workload).run()
-    )
+    want = System(replace(config, engine="interp"), design, workload).run().to_dict()
     batch_system = System(replace(config, engine="auto"), design, workload)
-    got = dataclasses.asdict(batch_system.run())
+    got = batch_system.run().to_dict()
     if batch_system.engine_used != "batch":
         divergences.append(
             f"{where}: batch engine declined an in-envelope cell "
             f"(engine_used={batch_system.engine_used!r})"
         )
     for key in got:
-        if got[key] != want[key]:
+        if canonical_dumps(got[key]) != canonical_dumps(want[key]):
             divergences.append(
                 f"{where}: SimResult.{key}: batch {got[key]!r} != "
                 f"interp {want[key]!r}"

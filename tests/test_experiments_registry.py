@@ -73,3 +73,26 @@ class TestCli:
 
         assert main(["fig1"]) == 0
         assert "fig1" in capsys.readouterr().out
+
+
+class TestScorecardInputsAreCached:
+    """The simulation-backed experiments the scorecard reads run their
+    cells through the result cache, so the scorecard that ends ``repro
+    all`` (and a warm ``repro scorecard``) simulates none of them again."""
+
+    @pytest.mark.parametrize(
+        "experiment", ["table3", "victim-cache", "page-policy", "mlp-sweep"]
+    )
+    def test_second_run_simulates_nothing(self, experiment, monkeypatch, tmp_path):
+        from repro.experiments import common
+        from repro.sim.system import System
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(common, "QUICK_READS", 100)
+        first = run_experiment(experiment, quick=True).render()
+
+        def simulate(system):
+            raise AssertionError(f"{experiment} simulated a cached cell")
+
+        monkeypatch.setattr(System, "run", simulate)
+        assert run_experiment(experiment, quick=True).render() == first

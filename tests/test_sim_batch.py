@@ -2,17 +2,23 @@
 
 The engine's entire contract is *bit-exactness*: for every configuration
 inside its envelope, ``SystemConfig(engine="auto")`` must run the batch
-engine and produce a :class:`~repro.sim.results.SimResult` field-identical
-to the interpreter's, while configurations outside the envelope must fall
-back to the interpreter (``System.engine_used == "interp"``) rather than
-approximate. These tests pin both halves, plus the engine-selection
-plumbing (config field, ``REPRO_ENGINE``) and the bench/sweep integration.
+engine and produce a :class:`~repro.sim.results.SimResult` whose fields
+render to the same canonical JSON as the interpreter's (value *and* type:
+an int counter must not turn into an equal float), while configurations
+outside the envelope must fall back to the interpreter
+(``System.engine_used == "interp"``) rather than approximate. These tests
+pin both halves, plus the engine-selection plumbing (config field,
+``REPRO_ENGINE``), the bench/sweep integration and the fold of the
+kernels' read records.
 """
 
 import dataclasses
+import math
 
 import pytest
 
+from repro.dramcache.base import ATTRIBUTION_EPSILON
+from repro.perf.golden import canonical_dumps
 from repro.sim.batch import BATCH_DESIGNS
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
@@ -53,9 +59,15 @@ def _pair(design, config, benchmark="mcf_r", reads=250):
 
 
 def assert_identical(got, want):
-    g = dataclasses.asdict(got)
-    w = dataclasses.asdict(want)
-    diff = {k: (g[k], w[k]) for k in g if g[k] != w[k]}
+    """Every field renders to the same canonical JSON: ``5`` and ``5.0``
+    compare equal but would change a cached result file."""
+    g = got.to_dict()
+    w = want.to_dict()
+    diff = {
+        k: (g[k], w[k])
+        for k in g
+        if canonical_dumps(g[k]) != canonical_dumps(w[k])
+    }
     assert not diff, f"batch diverged from interpreter: {diff}"
 
 
@@ -572,3 +584,177 @@ class TestRandbelow:
                 assert draw(dut.getrandbits, n, 200) == want
                 assert dut.getstate() == ref.getstate()
 
+
+def _float_flush(group, name, count):
+    """``batch._flush`` with one deliberate fault: counters become floats,
+    equal in value to the ints the interpreter keeps."""
+    if count:
+        group.counter(name).value += float(count)
+
+
+class TestTypeStrictGates:
+    """A kernel that turns int counters into equal floats passes ``==``, but
+    changes every cached result file and perfbench digest. Each of the three
+    bit-exactness gates must refuse it."""
+
+    def test_engine_parity_assert(self, monkeypatch):
+        from repro.sim import batch
+
+        monkeypatch.setattr(batch, "_flush", _float_flush)
+        _, want, batch_system, got = _pair("alloy-map-i", _config())
+        assert batch_system.engine_used == "batch"
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        with pytest.raises(AssertionError, match="memory_reads"):
+            assert_identical(got, want)
+
+    def test_differential_fuzzer(self, monkeypatch):
+        from repro.sim import batch
+        from repro.verify.fuzzer import fuzz_system_pair, system_design
+
+        assert system_design(0) == "alloy-map-i"
+        monkeypatch.setattr(batch, "_flush", _float_flush)
+        divergences = fuzz_system_pair(0, reads_per_core=120, check_invariants=False)
+        assert any("SimResult.memory_reads" in d for d in divergences), divergences
+
+    def test_golden_check(self, monkeypatch, tmp_path):
+        from repro.perf import golden
+        from repro.perf.bench import BenchCell
+        from repro.sim import batch
+
+        cell = BenchCell("alloy-map-i", "mcf_r", reads_per_core=golden.GOLDEN_READS)
+        path = tmp_path / "scorecard.json"
+        path.write_text(golden.canonical_dumps(golden.golden_payload([cell])))
+        assert golden.check_golden(path) == []
+        monkeypatch.setattr(batch, "_flush", _float_flush)
+        reads = batch_reads = None
+        for line in golden.check_golden(path):
+            if ".design_stats.memory_reads: " in line:
+                batch_reads, reads = line.split(": ")[1].split(" != golden ")
+        assert reads is not None and batch_reads == f"{float(reads)!r}"
+
+
+def _fresh_design():
+    config = _config()
+    return System(config, "no-cache", _workload(config, reads=20)).design
+
+
+def _folded(records):
+    """A fresh design after ``_fold_reads`` over ``records`` packed into one
+    buffer the way the kernels write it."""
+    from repro.sim import batch
+
+    design = _fresh_design()
+    buf = bytearray(b"".join(batch._RECORD.pack(*r) for r in records))
+    batch._fold_reads(design, buf)
+    return design
+
+
+def _stat_state(design):
+    """Every counter, accumulator and histogram of a design's read stats,
+    rendered with ``repr`` so types and signed zeros count."""
+
+    def group(stats):
+        return (
+            sorted((k, c.value) for k, c in stats.counters.items()),
+            sorted(
+                (k, (a.total, a.count, a.min, a.max))
+                for k, a in stats.accumulators.items()
+            ),
+            sorted((k, h.counts) for k, h in stats.histograms.items()),
+        )
+
+    return repr(
+        (
+            group(design.stats),
+            group(design.stage_stats),
+            design.hit_latency_hist.counts,
+            design.read_latency_hist.counts,
+        )
+    )
+
+
+EPS = ATTRIBUTION_EPSILON
+ABOVE_EPS = math.nextafter(EPS, 1.0)
+
+#: Hand-built demand-read records: (hit, latency, queue, predictor, tag,
+#: data, memory).
+RECORD_CASES = {
+    "negative-zero-gap": [(1.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 7.5, 1.5, 0, 2, 0, 4)],
+    "gap-at-epsilon": [(1.0, EPS, 0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 30.0, 6, 1, 3, 0, 20)],
+    "gap-above-epsilon": [(0.0, ABOVE_EPS, 0.0, 0.0, 0.0, 0.0, 0.0), (1.0, 64.0, 0, 0, 24, 40, 0)],
+    "negative-gap": [(1.0, 100.0, 50.0, 0.0, 0.0, 60.0, 0.0), (0.0, 10.0, 0, 0, 0, 0, 12.25)],
+    "interleaved": [
+        (1.0, 61.0, 3.0, 1.0, 0.0, 57.0, 0.0),
+        (0.0, 232.125, 12.5, 1.0, 0.0, 0.0, 218.625),
+        (1.0, 80.0, 10.0, 24.0, 46.0, 0.0, 0.0),
+        (0.0, 530.75, 310.25, 1.0, 18.0, 0.0, 201.5),
+        (1.0, 12.0, 0.0, 0.0, 0.0, 12.0, 0.0),
+        (1.0, 0.1 + 0.2, 0.1, 0.0, 0.0, 0.2, 0.0),
+        # A gap above the epsilon whose last bits depend on the stage order.
+        (0.0, 1.0, 0.1, 0.2, 0.3, 0.0, 0.0),
+    ],
+    "all-miss": [(0.0, 140.0, 20.0, 0, 0, 0, 120.0), (0.0, 301.5, 180.5, 1, 0, 0, 120.0)],
+}
+
+
+class TestReadRecordFold:
+    """``_fold_reads`` over a hand-built buffer leaves exactly the stats a
+    per-read replay through the interpreter's ``_record_read`` and
+    ``_record_stages`` (``Accumulator.sample``, ``Histogram.sample``) does."""
+
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_fold_matches_per_read_replay(self, case):
+        from repro.lifecycle import STAGES, LatencyBreakdown
+
+        records = RECORD_CASES[case]
+        folded, replayed = _folded(records), _fresh_design()
+        for hit, latency, *stages in records:
+            replayed._record_read(bool(hit), latency)
+            breakdown = LatencyBreakdown(dict(zip(STAGES, map(float, stages))))
+            replayed._record_stages(breakdown, latency)
+        assert _stat_state(folded) == _stat_state(replayed)
+
+    @pytest.mark.parametrize(
+        "case,cycles",
+        [
+            ("gap-at-epsilon", 0.0),
+            ("gap-above-epsilon", ABOVE_EPS),
+            ("negative-gap", 10.0 + 2.25),
+            ("negative-zero-gap", 0.0),
+        ],
+    )
+    def test_unattributed_gap(self, case, cycles):
+        assert repr(_folded(RECORD_CASES[case]).unattributed_cycles) == repr(cycles)
+
+    def test_all_miss_creates_no_hit_stats(self):
+        design = _folded(RECORD_CASES["all-miss"])
+        assert "read_hits" not in design.stats.counters
+        assert "hit_latency" not in design.stats.accumulators
+        assert design.stats.counters["read_misses"].value == 2
+
+    def test_empty_buffer_creates_nothing(self):
+        design = _folded([])
+        assert not design.stats.counters and not design.stats.accumulators
+        assert not design.stage_stats.accumulators
+        assert not any(design.read_latency_hist.counts)
+
+
+class TestOneRecordPerRead:
+    @pytest.mark.parametrize("design", ["alloy-victim16", "lh-cache", "no-cache"])
+    def test_unfilled_buffer_raises(self, design, monkeypatch):
+        """The buffer holds one record per demand read and the kernel checks
+        it filled it: a read count one too high leaves a record unwritten."""
+        from repro.sim import batch
+
+        flatten = batch._flatten
+
+        def overcount(system, starts, need_pcs):
+            out = flatten(system, starts, need_pcs)
+            out[6][0] += 1  # n_reads of core 0
+            return out
+
+        monkeypatch.setattr(batch, "_flatten", overcount)
+        config = _config()
+        system = System(config, design, _workload(config))
+        with pytest.raises(RuntimeError, match="read records for"):
+            system.run()
